@@ -10,14 +10,14 @@ of augmented sample pairs affects robustness to distribution shift:
 - parametric shift families and their extreme members
   (:mod:`arlab.transforms`)
 - exact empirical Wasserstein-1 via assignment (:mod:`arlab.wasserstein`)
-- six alignment penalties, two with adversarial critics
+- seven alignment penalties, two with adversarial critics
   (:mod:`arlab.regularizers`)
-- augmentation training modes, worst-case selection, lambda sweeps
+- augmentation training modes and worst-case selection
   (:mod:`arlab.training`)
 - accuracy / robust accuracy / neighborhood invariance and their tables
   (:mod:`arlab.evaluation`)
 - numerical checks of the supporting analysis (:mod:`arlab.theory`)
-- the ``arlab`` command line (:mod:`arlab.cli`)
+- the ``arlab`` command line, home of the lambda sweep (:mod:`arlab.cli`)
 """
 
 from .datasets import LabeledImages, gen_minidigits, load_idx, one_hot, save_idx
@@ -53,7 +53,7 @@ from .theory import (
     check_vertices,
     run_all_checks,
 )
-from .training import LrSchedule, TrainPlan, select_worst, sweep, train
+from .training import LrSchedule, TrainPlan, select_worst, train
 from .transforms import (
     FAMILY_NAMES,
     TransformFamily,
@@ -121,7 +121,6 @@ __all__ = [
     "save_idx",
     "save_weights",
     "select_worst",
-    "sweep",
     "train",
     "w1_exact",
     "w1_matching",

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .evaluation import (
     MetricsRow,
+    check_class_sizes,
     evaluate,
     format_table,
     rows_from_csv,
@@ -70,7 +71,7 @@ EVAL_SEED_OFFSET = 10_000
 
 
 class AllCellsFailed(RuntimeError):
-    """Every sweep cell diverged; maps to exit code 4."""
+    """Every sweep cell failed; maps to exit code 4."""
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     methods = doc.get("methods")
     if not isinstance(methods, list) or not methods:
         _fail("methods", "must be a nonempty list")
+    code_for: dict = {}
     for m in methods:
         if m not in METHOD_SPECS:
             _fail("methods", f"unknown method {m!r}; choose from {sorted(METHOD_SPECS)}")
-    if len(set(methods)) != len(methods):
-        _fail("methods", "duplicate entries")
+        if METHOD_SPECS[m] in code_for:
+            _fail("methods", f"{code_for[METHOD_SPECS[m]]!r} and {m!r} train the same cells")
+        code_for[METHOD_SPECS[m]] = m
 
     grid = doc.get("lambda_grid")
     if grid is None:
@@ -228,43 +231,53 @@ def plan_for_cell(config: ExperimentConfig, method: str, lam: Optional[float],
     )
 
 
-def _run_cell(config: ExperimentConfig, method: str, lam: Optional[float],
-              seed: int, out_root: str) -> dict:
-    """Train one cell, save its weights, and report its metrics.
+def _run_cell(config: ExperimentConfig, data: LabeledImages, hold_out: LabeledImages,
+              out_root: str, method: str, lam: Optional[float], seed: int) -> dict:
+    """Train one cell on the run's shared splits, save its weights, score it.
 
-    Self-contained (rebuilds datasets from the config) so cells can run in
-    worker processes; every source of randomness is seeded by the cell.
+    Every source of randomness is seeded by the cell, so cells may run in
+    any order or process.  A cell that diverges or meets a degenerate
+    input is recorded as failed, with its ``error_kind``, and the sweep
+    goes on.
     """
     cell_dir = Path(out_root) / _cell_name(method, lam, seed)
     cell_dir.mkdir(parents=True, exist_ok=True)
-    data = _load_dataset(config.dataset)
-    hold_out = _load_dataset(_eval_spec(config))
     plan = plan_for_cell(config, method, lam, seed, data.images.shape[1])
     started = time.monotonic()
     record = {"method": method, "lambda": lam, "seed": seed, "mode": plan.mode,
               "align_kind": plan.align_kind, "dir": cell_dir.name}
     try:
         history = train(plan, data)
-    except DivergenceError as exc:
+        save_weights(history.model, cell_dir / "weights.bin")
+        report = evaluate(history.model, hold_out, plan.family, seed)
+    except (DivergenceError, DegenerateInputError) as exc:
         record["error"] = str(exc)
-        record["duration_s"] = time.monotonic() - started
-        (cell_dir / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True))
-        return record
-    save_weights(history.model, cell_dir / "weights.bin")
-    report = evaluate(history.model, hold_out, plan.family, seed)
-    record["metrics"] = {
-        "accuracy": report.accuracy,
-        "robustness": report.robust_accuracy,
-        "invariance": report.invariance,
-    }
-    record["final_loss"] = history.losses[-1]
+        record["error_kind"] = ("divergence" if isinstance(exc, DivergenceError)
+                                else "degenerate")
+    else:
+        record["metrics"] = {
+            "accuracy": report.accuracy,
+            "robustness": report.robust_accuracy,
+            "invariance": report.invariance,
+        }
+        record["final_loss"] = history.losses[-1]
     record["duration_s"] = time.monotonic() - started
     (cell_dir / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True))
     return record
 
 
-def _run_cell_packed(args) -> dict:
-    return _run_cell(*args)
+# (config, data, hold_out, out_root), sent to each worker process once
+# rather than pickled with every cell
+_worker_context: tuple = ()
+
+
+def _init_worker(*context):
+    global _worker_context
+    _worker_context = context
+
+
+def _run_cell_in_worker(cell: tuple) -> dict:
+    return _run_cell(*_worker_context, *cell)
 
 
 def _build_cells(config: ExperimentConfig) -> list:
@@ -280,8 +293,8 @@ def _build_cells(config: ExperimentConfig) -> list:
 def select_lambdas(rows: Sequence[MetricsRow]) -> dict:
     """Per method, the grid value with the best mean robustness over seeds.
 
-    Ties go to the smaller lambda, matching the sweep's earlier-entry rule
-    for an ascending grid.
+    This is the only lambda rule.  Ties go to the smaller lambda, whatever
+    the order of the grid.
     """
     by_method: dict = {}
     for r in rows:
@@ -313,11 +326,17 @@ def cmd_train(config_path: str, parallel: int = 1,
     config = parse_config(doc)
     if seed_override is not None:
         config = ExperimentConfig(**{**config.__dict__, "seeds": (seed_override,)})
+    # each split is built once per run and shared by every cell
+    data = _load_dataset(config.dataset)
+    eval_spec = _eval_spec(config)
+    hold_out = data if eval_spec == config.dataset else _load_dataset(eval_spec)
+    # a held-out split no cell could be scored on is the run's fault, not a cell's
+    check_class_sizes(hold_out)
 
     out = resolve_output_dir(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     snapshot = {
-        "dataset": config.dataset, "eval_dataset": _eval_spec(config),
+        "dataset": config.dataset, "eval_dataset": eval_spec,
         "model": {"hidden": list(config.hidden)}, "family": config.family,
         "methods": list(config.methods),
         "lambda_grid": list(config.lambda_grid), "seeds": list(config.seeds),
@@ -329,13 +348,14 @@ def cmd_train(config_path: str, parallel: int = 1,
     (out / "config.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True))
 
     cells = _build_cells(config)
-    jobs = [(config, m, lam, s, str(out)) for m, lam, s in cells]
+    context = (config, data, hold_out, str(out))
     started = time.monotonic()
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            records = list(pool.map(_run_cell_packed, jobs))
+        with ProcessPoolExecutor(max_workers=parallel, initializer=_init_worker,
+                                 initargs=context) as pool:
+            records = list(pool.map(_run_cell_in_worker, cells))
     else:
-        records = [_run_cell_packed(job) for job in jobs]
+        records = [_run_cell(*context, *cell) for cell in cells]
 
     rows = []
     for (method, lam, seed), record in zip(cells, records):

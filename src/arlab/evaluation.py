@@ -57,17 +57,25 @@ def robust_accuracy(model: Classifier, data: LabeledImages,
     return float(np.mean(correct))
 
 
+def check_class_sizes(data: LabeledImages) -> None:
+    """The invariance test needs at least two samples in every class."""
+    counts = np.bincount(data.labels, minlength=data.num_classes)
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        cls = int(short[0])
+        raise DegenerateInputError(
+            f"class {cls} has {counts[cls]} sample(s); the invariance test needs >= 2")
+
+
 def invariance_per_class(model: Classifier, data: LabeledImages,
                          family: TransformFamily) -> np.ndarray:
     """Per-class nearest-neighbor overlap scores, classes in label order."""
+    check_class_sizes(data)
     t = len(family)
     scores = np.zeros(data.num_classes)
     for cls in range(data.num_classes):
         members = np.flatnonzero(data.labels == cls)
         m = members.size
-        if m < 2:
-            raise DegenerateInputError(
-                f"class {cls} has {m} sample(s); the invariance test needs >= 2")
         originals = data.images[members]
         query = logits_array(model, originals)
         pool = np.concatenate(

@@ -21,7 +21,7 @@ from .datasets import LabeledImages
 from .evaluation import accuracy, robust_accuracy
 from .model import Classifier, logits_array, predict_classes
 from .tensor import softmax_array
-from .training import select_worst
+from .training import worst_case_copy
 from .transforms import TransformFamily, apply_batch
 from .wasserstein import pairwise_l1, w1_exact
 
@@ -246,13 +246,9 @@ def bound_terms(model: Classifier, train_data: LabeledImages,
         apply_batch(minus, train_data.images), train_data.labels, train_data.num_classes))
     vertex_avg = 0.5 * (risk_plus + risk_minus)
     if mode == "worst-case":
-        picks = select_worst(model, train_data.images, train_data.labels, family)
-        paired = np.empty_like(train_data.images)
-        for j in np.unique(picks):
-            mask = picks == j
-            paired[mask] = apply_batch(family.members[j], train_data.images[mask])
         u = logits_array(model, train_data.images)
-        v = logits_array(model, paired)
+        v = logits_array(model, worst_case_copy(
+            model, train_data.images, train_data.labels, family))
     else:
         u = logits_array(model, apply_batch(plus, train_data.images))
         v = logits_array(model, apply_batch(minus, train_data.images))

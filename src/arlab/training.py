@@ -8,15 +8,14 @@ variants add a weighted alignment penalty between the two logit batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
 from .datasets import LabeledImages, batches, one_hot
 from .errors import ConfigError, DivergenceError
-from .evaluation import EvalReport, evaluate
 from .model import Classifier, init, logits, logits_array
 from .regularizers import AUX_KINDS, ALIGN_KINDS, AuxParams, aux_update, init_aux, penalty
 from .tensor import NonFiniteError, softmax_array
@@ -105,28 +104,40 @@ def select_worst(model: Classifier, images: np.ndarray, labels: np.ndarray,
     return np.argmin(scores, axis=0)
 
 
+def worst_case_copy(model: Classifier, images: np.ndarray, labels: np.ndarray,
+                    family: TransformFamily) -> np.ndarray:
+    """Each image under its own worst-case family member (see select_worst)."""
+    picks = select_worst(model, images, labels, family)
+    out = np.empty_like(images)
+    for j in np.unique(picks):
+        mask = picks == j
+        out[mask] = apply_batch(family.members[j], images[mask])
+    return out
+
+
 def _augmented_copy(plan: TrainPlan, model: Classifier, images: np.ndarray,
-                    labels: np.ndarray) -> np.ndarray:
+                    labels: np.ndarray) -> Optional[np.ndarray]:
+    """The batch's paired copy under the plan; None when the mode has none."""
+    if plan.mode == "baseline":
+        return None
     if plan.mode in WORST_MODES:
-        picks = select_worst(model, images, labels, plan.family)
-        out = np.empty_like(images)
-        for j in np.unique(picks):
-            mask = picks == j
-            out[mask] = apply_batch(plan.family.members[j], images[mask])
-        return out
+        return worst_case_copy(model, images, labels, plan.family)
     return apply_batch(plan.family.training_vertex(), images)
 
 
 def _assemble(plan: TrainPlan, model: Classifier, images: np.ndarray,
-              labels: np.ndarray, aux: Optional[AuxParams]):
-    """Build the step's loss node; returns (loss, penalty value or None)."""
+              labels: np.ndarray, augmented: Optional[np.ndarray],
+              aux: Optional[AuxParams]):
+    """Build the step's loss node; returns (loss, penalty value or None).
+
+    ``augmented`` is the batch's paired copy from ``_augmented_copy``.
+    """
     if images.shape[0] < 1:
         raise ValueError("empty batch")
     y = one_hot(labels, model.num_classes)
     u = logits(model, images)
-    if plan.mode == "baseline":
+    if augmented is None:
         return T.softmax_cross_entropy(u, y), None
-    augmented = _augmented_copy(plan, model, images, labels)
     v = logits(model, augmented)
     ce = T.scale(T.add(T.softmax_cross_entropy(u, y),
                        T.softmax_cross_entropy(v, y)), 0.5)
@@ -140,7 +151,8 @@ def step_loss(plan: TrainPlan, model: Classifier,
               batch: tuple, aux: Optional[AuxParams] = None) -> T.Tensor:
     """Scalar loss node for one (images, labels) batch under the plan."""
     images, labels = batch
-    loss, _ = _assemble(plan, model, images, labels, aux)
+    augmented = _augmented_copy(plan, model, images, labels)
+    loss, _ = _assemble(plan, model, images, labels, augmented, aux)
     return loss
 
 
@@ -162,15 +174,14 @@ def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
         step_losses, step_pens = [], []
         for images, labels in batches(data, plan.batch_size, _batch_seed(plan.seed, epoch)):
             try:
+                # built once per step: the aux update and the loss share it
+                augmented = _augmented_copy(plan, model, images, labels)
                 if aux is not None:
-                    u_val = logits_array(model, images)
-                    v_val = logits_array(
-                        model, _augmented_copy(plan, model, images, labels))
-                    aux_update(plan.align_kind, u_val, v_val, aux)
-                model.params.zero_grad()
-                if aux is not None:
+                    aux_update(plan.align_kind, logits_array(model, images),
+                               logits_array(model, augmented), aux)
                     aux.zero_grad()
-                loss, pen = _assemble(plan, model, images, labels, aux)
+                model.params.zero_grad()
+                loss, pen = _assemble(plan, model, images, labels, augmented, aux)
                 T.backward(loss)
             except NonFiniteError as exc:
                 raise DivergenceError(
@@ -192,66 +203,3 @@ def default_lambda_grid() -> np.ndarray:
 
 DEFAULT_SEEDS = (0, 1, 2)
 
-
-@dataclass
-class SweepCell:
-    """One (lambda, seed) training outcome inside a sweep."""
-
-    lam: float
-    seed: int
-    report: Optional[EvalReport]
-    error: Optional[str]
-
-
-@dataclass
-class SweepResult:
-    cells: list
-    selected_lambda: Optional[float]
-    summary: Optional[dict]
-
-    def at(self, lam: float) -> list:
-        return [c for c in self.cells if c.lam == lam and c.report is not None]
-
-
-def sweep(plan: TrainPlan, lambda_grid: Sequence[float], seeds: Sequence[int],
-          data: LabeledImages, eval_data: Optional[LabeledImages] = None) -> SweepResult:
-    """Train every (lambda, seed) cell and pick the best-robustness lambda.
-
-    Selection maximizes mean robust accuracy over seeds; ties go to the
-    earlier grid entry.  Failed cells are recorded and skipped, never fatal
-    unless a lambda has no surviving cells.
-    """
-    if len(lambda_grid) == 0:
-        raise ConfigError("lambda grid must be nonempty")
-    hold_out = data if eval_data is None else eval_data
-    cells = []
-    for lam in lambda_grid:
-        for seed in seeds:
-            cell_plan = replace(plan, lam=float(lam), seed=int(seed))
-            try:
-                history = train(cell_plan, data)
-                report = evaluate(history.model, hold_out, plan.family, int(seed))
-                cells.append(SweepCell(float(lam), int(seed), report, None))
-            except (DivergenceError, ConfigError) as exc:
-                cells.append(SweepCell(float(lam), int(seed), None, str(exc)))
-    best_lam, best_mean = None, -1.0
-    for lam in lambda_grid:
-        reports = [c.report for c in cells
-                   if c.lam == float(lam) and c.report is not None]
-        if not reports:
-            continue
-        mean_robust = float(np.mean([r.robust_accuracy for r in reports]))
-        if mean_robust > best_mean:
-            best_lam, best_mean = float(lam), mean_robust
-    summary = None
-    if best_lam is not None:
-        chosen = [c.report for c in cells
-                  if c.lam == best_lam and c.report is not None]
-        summary = {
-            metric: (float(np.mean([getattr(r, attr) for r in chosen])),
-                     float(np.std([getattr(r, attr) for r in chosen])))
-            for metric, attr in (("accuracy", "accuracy"),
-                                 ("robustness", "robust_accuracy"),
-                                 ("invariance", "invariance"))
-        }
-    return SweepResult(cells, best_lam, summary)

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from arlab import cli
 from arlab.cli import main, parse_config, resolve_output_dir, select_lambdas
+from arlab.datasets import LabeledImages, gen_minidigits, save_idx
 from arlab.errors import ConfigError
 from arlab.evaluation import MetricsRow, rows_from_csv
 
@@ -45,8 +47,10 @@ class TestParseConfig:
             ({"methods": []}, "methods"),
             ({"methods": ["B", "Z"]}, "methods"),
             ({"methods": ["B", "B"]}, "methods"),
+            ({"methods": ["B", "S", "RVA"]}, "methods: 'S' and 'RVA'"),
             ({"family": "blur"}, "family"),
             ({"lambda_grid": [0.0, 0.1]}, "lambda_grid"),
+            ({"lambda_grid": []}, "lambda_grid"),
             ({"seeds": []}, "seeds"),
             ({"epochs": 0}, "epochs"),
             ({"batch_size": -1}, "batch_size"),
@@ -95,6 +99,7 @@ class TestLambdaSelection:
     def test_tie_prefers_smaller_lambda(self):
         rows = [self.row("S", 0.01, 0, 0.3), self.row("S", 0.001, 0, 0.3)]
         assert select_lambdas(rows) == {"S": 0.001}
+        assert select_lambdas(rows[::-1]) == {"S": 0.001}
 
 
 class TestTrain:
@@ -160,6 +165,7 @@ class TestTrain:
         assert not (out / "metrics.csv").exists()
         record = json.loads((out / "B_none_0" / "run.json").read_text())
         assert "diverged" in record["error"]
+        assert record["error_kind"] == "divergence"
 
     def test_lambda_annotation_in_summary(self, tmp_path):
         config_path, out = write_config(tmp_path, methods=["B", "S"])
@@ -167,6 +173,46 @@ class TestTrain:
         summary = (out / "summary.txt").read_text()
         assert "S (lam=" in summary
         assert summary.count("Accuracy") == 1
+
+    def test_degenerate_cell_is_recorded_and_sweep_goes_on(self, tmp_path):
+        # a blank image has zero logits at init, where cosine alignment is
+        # undefined; one batch holds every sample, so C fails at step one
+        data = gen_minidigits(60, seed=2)
+        images = data.images.copy()
+        images[17] = 0.0
+        images_path, labels_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        save_idx(LabeledImages(images, data.labels, data.num_classes),
+                 images_path, labels_path)
+        config_path, out = write_config(
+            tmp_path, methods=["B", "C"], lambda_grid=[0.01], batch_size=60,
+            dataset={"kind": "idx", "images": str(images_path),
+                     "labels": str(labels_path)})
+        assert main(["train", "--config", str(config_path)]) == 0
+        rows = rows_from_csv((out / "metrics.csv").read_text())
+        assert [(r.method, r.lam) for r in rows] == [("B", None)]
+        cells = json.loads((out / "run.json").read_text())["cells"]
+        failed = [c for c in cells if "error" in c]
+        assert [(c["method"], c["error_kind"]) for c in failed] == [("C", "degenerate")]
+        assert "cosine" in failed[0]["error"]
+
+    def test_unscorable_hold_out_exits_2_before_training(self, tmp_path, capsys):
+        config_path, out = write_config(
+            tmp_path, eval_dataset={"kind": "minidigits", "n": 5, "seed": 1})
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "the invariance test needs >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_splits_are_built_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gen_minidigits(*args)
+
+        monkeypatch.setattr(cli, "gen_minidigits", counting)
+        config_path, _ = write_config(tmp_path, methods=["B", "V", "S"], seeds=[0, 1])
+        assert main(["train", "--config", str(config_path)]) == 0
+        assert calls == [(80, 0, 16), (80, 10_000, 16)]
 
     def test_env_root_redirects_relative_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ARLAB_OUT", str(tmp_path / "root"))

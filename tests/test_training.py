@@ -13,7 +13,6 @@ from arlab.training import (
     default_lambda_grid,
     select_worst,
     step_loss,
-    sweep,
     train,
 )
 from arlab.transforms import (
@@ -220,35 +219,3 @@ def test_default_grid_and_seeds():
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, ratios[0])
     assert DEFAULT_SEEDS == (0, 1, 2)
-
-
-def test_sweep_selects_lambda_with_best_mean_robustness():
-    data = small_data(60, seed=14)
-    plan = plan_for("aligned-vertex", align_kind="sql2", epochs=2, hidden=(8,))
-    result = sweep(plan, [1e-4, 1e-1], seeds=(0, 1), data=data)
-    assert len(result.cells) == 4
-    assert all(c.report is not None for c in result.cells)
-    by_lam = {}
-    for lam in (1e-4, 1e-1):
-        reports = [c.report for c in result.cells if c.lam == lam]
-        by_lam[lam] = np.mean([r.robust_accuracy for r in reports])
-    assert result.selected_lambda == max(by_lam, key=by_lam.get)
-    assert set(result.summary) == {"accuracy", "robustness", "invariance"}
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_sweep_records_failures_and_survives():
-    data = small_data(40, seed=15)
-    plan = plan_for("aligned-vertex", align_kind="sql2",
-                    lr=LrSchedule(1e155), epochs=2, hidden=(8,))
-    result = sweep(plan, [1e-3, 1e-2], seeds=(0,), data=data)
-    assert len(result.cells) == 2
-    assert all(c.error is not None and "diverged" in c.error for c in result.cells)
-    assert result.selected_lambda is None
-    assert result.summary is None
-
-
-def test_sweep_rejects_empty_grid():
-    data = small_data(20, seed=16)
-    with pytest.raises(ConfigError):
-        sweep(plan_for("aligned-vertex", align_kind="l1"), [], (0,), data)
