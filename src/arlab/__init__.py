@@ -10,7 +10,7 @@ of augmented sample pairs affects robustness to distribution shift:
 - parametric shift families and their extreme members
   (:mod:`arlab.transforms`)
 - exact empirical Wasserstein-1 via assignment (:mod:`arlab.wasserstein`)
-- seven alignment penalties, two with adversarial critics
+- six alignment penalties, one with an adversarial discriminator
   (:mod:`arlab.regularizers`)
 - augmentation training modes and worst-case selection
   (:mod:`arlab.training`)
@@ -57,7 +57,6 @@ from .training import LrSchedule, TrainPlan, select_worst, train
 from .transforms import (
     FAMILY_NAMES,
     TransformFamily,
-    apply,
     apply_batch,
     family_by_name,
     family_contrast,
@@ -90,7 +89,6 @@ __all__ = [
     "TrainPlan",
     "TransformFamily",
     "accuracy",
-    "apply",
     "apply_batch",
     "backward",
     "bound_terms",

@@ -16,6 +16,7 @@ byte-for-byte from the config.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -202,6 +203,13 @@ def _eval_spec(config: ExperimentConfig) -> dict:
     return config.dataset
 
 
+def _check_num_classes(data: LabeledImages, num_classes: int, source: str) -> None:
+    """Data scored against a model must carry exactly the model's classes."""
+    if data.num_classes != num_classes:
+        raise ConfigError(
+            f"data: {data.num_classes} classes, but {source} has {num_classes}")
+
+
 def resolve_output_dir(output_dir: str) -> Path:
     root = os.environ.get("ARLAB_OUT")
     path = Path(output_dir)
@@ -330,7 +338,9 @@ def cmd_train(config_path: str, parallel: int = 1,
     data = _load_dataset(config.dataset)
     eval_spec = _eval_spec(config)
     hold_out = data if eval_spec == config.dataset else _load_dataset(eval_spec)
-    # a held-out split no cell could be scored on is the run's fault, not a cell's
+    # a held-out split no cell could be scored on is the run's fault, not a
+    # cell's; every model is as wide as the train split's class count
+    _check_num_classes(hold_out, data.num_classes, "the train split")
     check_class_sizes(hold_out)
 
     out = resolve_output_dir(config.output_dir)
@@ -405,10 +415,13 @@ def cmd_eval(weights_path: str, data_spec: str, family_name: str,
              seed: int = 0, json_path: Optional[str] = None) -> dict:
     model = load_weights(weights_path)
     data = _parse_data_arg(data_spec)
+    _check_num_classes(data, model.num_classes, "the model")
     family = family_by_name(family_name, data.images.shape[1])
     report = evaluate(model, data, family, seed)
+    # the digest, unlike the path, does not depend on where the run lives
+    digest = hashlib.sha256(Path(weights_path).read_bytes()).hexdigest()
     doc = {
-        "weights": str(weights_path), "family": family.family_name,
+        "weights_sha256": digest, "family": family.family_name,
         "samples": len(data), "accuracy": report.accuracy,
         "robust_accuracy": report.robust_accuracy,
         "invariance": report.invariance,
@@ -425,6 +438,7 @@ def cmd_theory(weights_path: str, data_spec: str, family_name: str,
                json_path: Optional[str] = None) -> dict:
     model = load_weights(weights_path)
     data = _parse_data_arg(data_spec)
+    _check_num_classes(data, model.num_classes, "the model")
     family = family_by_name(family_name, data.images.shape[1])
     doc = run_all_checks(model, data, family)
     for key in ("A2", "A3", "A6"):

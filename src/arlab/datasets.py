@@ -43,10 +43,6 @@ class LabeledImages:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def image_shape(self) -> tuple[int, int]:
-        return self.images.shape[1], self.images.shape[2]
-
     def subset(self, indices) -> "LabeledImages":
         idx = np.asarray(indices, dtype=np.intp)
         return LabeledImages(self.images[idx], self.labels[idx], self.num_classes)

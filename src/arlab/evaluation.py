@@ -21,7 +21,6 @@ from .datasets import LabeledImages
 from .errors import DegenerateInputError, MergeError
 from .model import Classifier, logits_array, predict_classes
 from .transforms import TransformFamily, apply_batch
-from .wasserstein import w1_exact
 
 METHOD_ORDER = ("B", "V", "L", "S", "C", "K", "W", "D")
 
@@ -93,23 +92,6 @@ def invariance_score(model: Classifier, data: LabeledImages,
                      family: TransformFamily) -> float:
     """Average invariance over classes; in [1/t, 1] with identity present."""
     return float(invariance_per_class(model, data, family).mean())
-
-
-def wasserstein_invariance(model: Classifier, data: LabeledImages,
-                           family: TransformFamily) -> float:
-    """Largest pairwise W1 gap between any two transformed logit sets.
-
-    The unbounded forerunner of the invariance test; reported as a
-    diagnostic only.
-    """
-    if len(family) < 2:
-        raise ValueError("need at least two family members")
-    sets = [logits_array(model, apply_batch(a, data.images)) for a in family]
-    worst = 0.0
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            worst = max(worst, w1_exact(sets[i], sets[j]))
-    return worst
 
 
 def evaluate(model: Classifier, data: LabeledImages, family: TransformFamily,

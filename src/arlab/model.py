@@ -98,14 +98,6 @@ def predict_classes(model: Classifier, images: np.ndarray) -> np.ndarray:
     return np.argmax(logits_array(model, images), axis=1)
 
 
-def predict(model: Classifier, images: np.ndarray) -> np.ndarray:
-    """One-hot predictions, one row per image."""
-    classes = predict_classes(model, images)
-    out = np.zeros((classes.shape[0], model.num_classes))
-    out[np.arange(classes.shape[0]), classes] = 1.0
-    return out
-
-
 def save_weights(model: Classifier, path) -> None:
     """Write weights as magic, layer count, then per-layer dims + payload.
 

@@ -2,9 +2,8 @@
 
 Each penalty takes the logits of original samples (first argument) and of
 their augmented counterparts (second argument) and returns a scalar graph
-node; smaller always means better aligned.  Two adversarial kinds carry a
-small auxiliary network of their own: a weight-clipped linear critic for
-the Wasserstein estimate and a one-layer discriminator.
+node; smaller always means better aligned.  The adversarial kind, ``disc``,
+carries a small auxiliary network of its own: a one-layer discriminator.
 """
 
 from __future__ import annotations
@@ -17,43 +16,36 @@ from scipy.special import expit
 
 from . import tensor as T
 from .errors import DegenerateInputError, ShapeError
-from .tensor import _log_softmax, softmax_array
+from .tensor import _log_softmax
 from .wasserstein import w1_matching
 
-ALIGN_KINDS = ("l1", "sql2", "cos", "kl", "w1-exact", "w1-critic", "disc")
-AUX_KINDS = ("w1-critic", "disc")
+ALIGN_KINDS = ("l1", "sql2", "cos", "kl", "w1-exact", "disc")
+AUX_KINDS = ("disc",)
 
-CRITIC_CLIP = 0.01
 AUX_LR = 5e-4
 
 
 @dataclass
 class AuxParams:
-    """Adversarial auxiliary: linear critic or affine discriminator."""
+    """Adversarial auxiliary: an affine discriminator."""
 
     kind: str
     w: T.Tensor
-    bias: Optional[T.Tensor]
+    bias: T.Tensor
     lr: float
-    clip: float
 
     def zero_grad(self) -> None:
         self.w.zero_grad()
-        if self.bias is not None:
-            self.bias.zero_grad()
+        self.bias.zero_grad()
 
 
-def init_aux(kind: str, num_logits: int, seed: int,
-             lr: float = AUX_LR, clip: float = CRITIC_CLIP) -> AuxParams:
+def init_aux(kind: str, num_logits: int, seed: int, lr: float = AUX_LR) -> AuxParams:
     """Seeded auxiliary parameters for a kind that needs them."""
     if kind not in AUX_KINDS:
         raise ValueError(f"kind {kind!r} takes no auxiliary parameters")
     rng = np.random.default_rng(seed)
-    if kind == "w1-critic":
-        w = T.Tensor(rng.uniform(-clip, clip, size=(num_logits, 1)))
-        return AuxParams(kind, w, None, lr, clip)
     w = T.Tensor(rng.normal(0.0, 0.1, size=(num_logits, 1)))
-    return AuxParams(kind, w, T.Tensor(np.zeros(1)), lr, clip)
+    return AuxParams(kind, w, T.Tensor(np.zeros(1)), lr)
 
 
 def _check_pair(u: T.Tensor, v: T.Tensor) -> int:
@@ -120,9 +112,6 @@ def penalty(kind: str, u: T.Tensor, v: T.Tensor,
         raise ValueError(f"kind {kind!r} requires matching auxiliary parameters")
     if aux.w.shape[0] != u.shape[1]:
         raise ShapeError(f"auxiliary width {aux.w.shape[0]} != logit width {u.shape[1]}")
-    if kind == "w1-critic":
-        return T.sub(T.reduce_mean(T.matmul(u, aux.w)),
-                     T.reduce_mean(T.matmul(v, aux.w)))
     # disc: push augmented outputs to read as real and originals as fake,
     # which meets in the middle once the two distributions agree
     d_u = T.add_bias(T.matmul(u, aux.w), aux.bias)
@@ -131,27 +120,17 @@ def penalty(kind: str, u: T.Tensor, v: T.Tensor,
                  T.reduce_mean(T.softplus(d_u)))
 
 
-def critic_objective(u: np.ndarray, v: np.ndarray, aux: AuxParams) -> float:
-    """Value the critic is ascending: mean critic(u) - mean critic(v)."""
-    w = aux.w.data[:, 0]
-    return float((u @ w).mean() - (v @ w).mean())
-
-
 def discriminator_scores(z: np.ndarray, aux: AuxParams) -> np.ndarray:
     """Raw discriminator outputs for a batch of logit rows."""
-    out = z @ aux.w.data[:, 0]
-    if aux.bias is not None:
-        out = out + aux.bias.data[0]
-    return out
+    return z @ aux.w.data[:, 0] + aux.bias.data[0]
 
 
 def aux_update(kind: str, u: np.ndarray, v: np.ndarray, aux: AuxParams) -> AuxParams:
     """One adversarial step on the auxiliary parameters.
 
-    The critic ascends its objective and is clipped back into [-c, c]; the
-    discriminator descends binary cross-entropy with originals labeled real
-    and augmented samples labeled fake.  Model logits enter as plain arrays;
-    no graph is built.
+    The discriminator descends binary cross-entropy with originals labeled
+    real and augmented samples labeled fake.  Model logits enter as plain
+    arrays; no graph is built.
     """
     if kind not in AUX_KINDS:
         raise ValueError(f"kind {kind!r} has no auxiliary update")
@@ -159,10 +138,6 @@ def aux_update(kind: str, u: np.ndarray, v: np.ndarray, aux: AuxParams) -> AuxPa
         raise ValueError(f"auxiliary was built for {aux.kind!r}, not {kind!r}")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if kind == "w1-critic":
-        grad = (u.mean(axis=0) - v.mean(axis=0))[:, None]
-        aux.w.data = np.clip(aux.w.data + aux.lr * grad, -aux.clip, aux.clip)
-        return aux
     d_u = discriminator_scores(u, aux)
     d_v = discriminator_scores(v, aux)
     su = expit(-d_u)[:, None]

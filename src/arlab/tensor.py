@@ -2,14 +2,12 @@
 
 Every differentiable operation builds a node in an acyclic graph; calling
 :func:`backward` on a scalar loss walks the graph in reverse topological
-order and accumulates gradients into the leaves.  A small 2-D DFT primitive
-(matrix form, not differentiable) is included for frequency-domain image
-filtering.
+order and accumulates gradients into the leaves.  Graph-free numpy helpers
+that share its numerics, such as :func:`softmax_array`, live here too.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -65,25 +63,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, leaf={self.is_leaf})"
-
-    # operator sugar; scalars are promoted to constant leaves
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def _coerce(x) -> Tensor:
@@ -260,18 +239,6 @@ def softmax_array(z: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(z))
 
 
-def softmax(logits: Tensor) -> Tensor:
-    """Row-wise softmax along the last axis; rows sum to one."""
-    logits = _coerce(logits)
-    p = softmax_array(logits.data)
-
-    def rule(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        logits.grad = logits.grad + p * (g - dot)
-
-    return Tensor(p, (logits,), rule)
-
-
 def validate_one_hot(labels: np.ndarray) -> np.ndarray:
     """Check that every row of ``labels`` is a valid one-hot vector."""
     y = np.asarray(labels, dtype=np.float64)
@@ -355,12 +322,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -373,33 +334,3 @@ class ParamSet:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
-
-
-@lru_cache(maxsize=16)
-def _dft_matrix(n: int) -> np.ndarray:
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * np.pi * j * k / n)
-
-
-def dft2(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2-D discrete Fourier transform of a real image, as (real, imag) arrays.
-
-    Matrix form, O(n^3); plenty for the image sizes this package handles.
-    Not part of the autodiff graph.
-    """
-    x = np.asarray(image, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"dft2 needs a 2-D image, got shape {x.shape}")
-    h, w = x.shape
-    spectrum = _dft_matrix(h) @ x @ _dft_matrix(w)
-    return spectrum.real.copy(), spectrum.imag.copy()
-
-
-def idft2(real: np.ndarray, imag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse 2-D DFT of a complex spectrum, as (real, imag) arrays."""
-    spectrum = np.asarray(real, dtype=np.float64) + 1j * np.asarray(imag, dtype=np.float64)
-    if spectrum.ndim != 2:
-        raise ShapeError(f"idft2 needs a 2-D spectrum, got shape {spectrum.shape}")
-    h, w = spectrum.shape
-    out = _dft_matrix(h).conj() @ spectrum @ _dft_matrix(w).conj() / (h * w)
-    return out.real.copy(), out.imag.copy()

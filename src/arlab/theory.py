@@ -20,7 +20,7 @@ import numpy as np
 from .datasets import LabeledImages
 from .evaluation import accuracy, robust_accuracy
 from .model import Classifier, logits_array, predict_classes
-from .tensor import softmax_array
+from .tensor import _log_softmax
 from .training import worst_case_copy
 from .transforms import TransformFamily, apply_batch
 from .wasserstein import pairwise_l1, w1_exact
@@ -170,15 +170,15 @@ def check_a6(model: Classifier, data: LabeledImages,
     n = len(data)
     idx = np.arange(n)
     z_orig = logits_array(model, data.images)
-    conf_orig = softmax_array(z_orig)[idx, data.labels]
+    logc_orig = _log_softmax(z_orig)[idx, data.labels]
     pred_orig = predict_classes(model, data.images)
-    conf = np.empty((len(family), n))
+    logc = np.empty((len(family), n))
     true_logit = np.empty((len(family), n))
     correct = np.empty((len(family), n), dtype=bool)
     preds = np.empty((len(family), n), dtype=np.int64)
     for j, t in enumerate(family):
         za = logits_array(model, apply_batch(t, data.images))
-        conf[j] = softmax_array(za)[idx, data.labels]
+        logc[j] = _log_softmax(za)[idx, data.labels]
         true_logit[j] = za[idx, data.labels]
         preds[j] = za.argmax(axis=1)
         correct[j] = preds[j] == data.labels
@@ -186,10 +186,12 @@ def check_a6(model: Classifier, data: LabeledImages,
     # member, or the first member when every copy stays correct
     worst_idx = np.argmin(correct, axis=0)
     flips = preds[worst_idx, idx] != pred_orig
-    ratio = conf_orig / conf.min(axis=0)
-    conf_drop = ratio >= np.exp(flips.astype(np.float64)) - 1e-12
+    # the confidence ratio is compared in log space, where a confidence
+    # that underflows to 0 stays finite
+    logc_worst = logc.min(axis=0)
+    conf_drop = logc_orig - logc_worst >= flips - 1e-12
     magnitude_logit = np.abs(true_logit.min(axis=0)) >= 1.0
-    magnitude_softmax = np.abs(conf.min(axis=0)) >= 1.0
+    magnitude_softmax = np.exp(logc_worst) >= 1.0
     satisfied = conf_drop & magnitude_logit
     witnesses = [{"sample": int(i), "conf_drop": bool(conf_drop[i]),
                   "magnitude": bool(magnitude_logit[i])}

@@ -14,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import _dft_matrix
 
 
 @dataclass(frozen=True)
@@ -73,20 +72,6 @@ def _fmt(x: float) -> str:
     return f"{x:g}"
 
 
-def parse_transform(text: str) -> Transform:
-    """Inverse of Transform.name()."""
-    parts = text.split(":")
-    if parts[0] == "identity" and len(parts) == 1:
-        return Identity()
-    if parts[0] == "freq" and len(parts) == 2:
-        return FreqCutoff(float(parts[1]))
-    if parts[0] == "rot" and len(parts) == 2:
-        return Rotate(float(parts[1]))
-    if parts[0] == "pix" and len(parts) == 3:
-        return PixelMap(float(parts[1]), bool(int(parts[2])))
-    raise ValueError(f"unrecognized transform name {text!r}")
-
-
 @dataclass(frozen=True)
 class TransformFamily:
     """Ordered transforms with two designated extreme members."""
@@ -118,6 +103,12 @@ class TransformFamily:
 
     def training_vertex(self) -> Transform:
         return self.members[self.vertex_minus]
+
+
+@lru_cache(maxsize=16)
+def _dft_matrix(n: int) -> np.ndarray:
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.exp(-2j * np.pi * j * k / n)
 
 
 @lru_cache(maxsize=64)
@@ -176,14 +167,6 @@ def apply_batch(t: Transform, images: np.ndarray) -> np.ndarray:
         back = _dft_matrix(h).conj() @ masked @ _dft_matrix(w).conj() / (h * w)
         return np.clip(back.real, 0.0, 1.0)
     raise TypeError(f"unknown transform {t!r}")
-
-
-def apply(t: Transform, image: np.ndarray) -> np.ndarray:
-    """Apply one transform to a single (h, w) image."""
-    x = np.asarray(image, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"apply needs an (h, w) image, got {x.shape}")
-    return apply_batch(t, x[None])[0]
 
 
 def _scaled_radii(image_size: int) -> list[float]:

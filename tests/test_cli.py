@@ -1,8 +1,11 @@
 """End-to-end checks of the command-line front end, run in-process."""
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arlab import cli
@@ -10,6 +13,7 @@ from arlab.cli import main, parse_config, resolve_output_dir, select_lambdas
 from arlab.datasets import LabeledImages, gen_minidigits, save_idx
 from arlab.errors import ConfigError
 from arlab.evaluation import MetricsRow, rows_from_csv
+from arlab.model import init, save_weights
 
 
 def base_config(out_dir, **overrides) -> dict:
@@ -202,6 +206,19 @@ class TestTrain:
         assert "the invariance test needs >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+        # an IDX split counts its classes from its own largest label, so a
+        # hold-out without class 9 has one class fewer than every model
+        full = gen_minidigits(40, seed=1)
+        data = full.subset(np.flatnonzero(full.labels != 9))
+        images_path, labels_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        save_idx(data, images_path, labels_path)
+        config_path, out = write_config(
+            tmp_path, eval_dataset={"kind": "idx", "images": str(images_path),
+                                    "labels": str(labels_path)})
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "9 classes, but the train split has 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_splits_are_built_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 
@@ -265,10 +282,35 @@ class TestEval:
                      "--data", "minidigits:40:0", "--family", "rotation"])
         assert code == 3
 
-    def test_bad_data_spec_exits_2(self, trained_run):
+    def test_bad_data_spec_exits_2(self, trained_run, tmp_path, capsys):
         code = main(["eval", "--weights", str(trained_run / "B_none_0" / "weights.bin"),
                      "--data", "minidigits:forty:0", "--family", "rotation"])
         assert code == 2
+
+        # a model with 9 outputs can never predict the data's tenth class
+        narrow = tmp_path / "narrow.bin"
+        save_weights(init([256, 8, 9], seed=0), narrow)
+        capsys.readouterr()
+        for command in ("eval", "theory"):
+            code = main([command, "--weights", str(narrow),
+                         "--data", "minidigits:40:0", "--family", "rotation"])
+            assert code == 2
+            assert "10 classes, but the model has 9" in capsys.readouterr().err
+
+    def test_json_is_independent_of_weights_location(self, trained_run, tmp_path):
+        source = trained_run / "B_none_0" / "weights.bin"
+        texts = []
+        for where in ("a", "deeper/b"):
+            weights = tmp_path / where / "weights.bin"
+            weights.parent.mkdir(parents=True)
+            shutil.copy(source, weights)
+            json_path = tmp_path / where / "eval.json"
+            assert main(["eval", "--weights", str(weights), "--data", "minidigits:40:0",
+                         "--family", "rotation", "--json", str(json_path)]) == 0
+            texts.append(json_path.read_bytes())
+        assert texts[0] == texts[1]
+        digest = hashlib.sha256(source.read_bytes()).hexdigest()
+        assert json.loads(texts[0])["weights_sha256"] == digest
 
 
 class TestTheory:

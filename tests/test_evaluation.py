@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -17,9 +15,8 @@ from arlab.evaluation import (
     rows_to_csv,
     summarize,
     summary_csv,
-    wasserstein_invariance,
 )
-from arlab.model import init, logits_array, predict_classes
+from arlab.model import init, predict_classes
 from arlab.transforms import (
     Identity,
     PixelMap,
@@ -28,7 +25,6 @@ from arlab.transforms import (
     apply_batch,
     family_by_name,
 )
-from arlab.wasserstein import w1_exact
 
 
 def onehot_data(labels, k=10):
@@ -155,23 +151,6 @@ def test_invariance_per_class_breakdown_shape():
     per_class = invariance_per_class(m, data, family_by_name("contrast"))
     assert per_class.shape == (10,)
     assert np.all((per_class >= 0.0) & (per_class <= 1.0))
-
-
-def test_wasserstein_invariance_zero_for_invariant_model():
-    data = gen_minidigits(20, seed=8)
-    m = init([256, 16, 10], seed=9)
-    assert wasserstein_invariance(m, data, identity_pair_family()) == 0.0
-
-
-def test_wasserstein_invariance_matches_pairwise_maximum():
-    data = gen_minidigits(4, seed=9)
-    fam = family_by_name("rotation")
-    m = init([256, 12, 10], seed=10)
-    sets = [logits_array(m, apply_batch(t, data.images)) for t in fam]
-    best = 0.0
-    for i, j in itertools.combinations(range(len(fam)), 2):
-        best = max(best, w1_exact(sets[i], sets[j]))
-    assert wasserstein_invariance(m, data, fam) == pytest.approx(best, rel=1e-12)
 
 
 def test_evaluate_bundles_all_metrics():

@@ -7,8 +7,8 @@ from arlab import tensor as T
 from arlab.errors import DegenerateInputError, ShapeError
 from arlab.regularizers import (
     ALIGN_KINDS,
+    AuxParams,
     aux_update,
-    critic_objective,
     discriminator_scores,
     init_aux,
     penalty,
@@ -107,7 +107,7 @@ def test_penalty_validation():
     with pytest.raises(ShapeError):
         penalty("l1", Tensor(u), Tensor(v[:2]))
     with pytest.raises(ValueError):
-        penalty("w1-critic", Tensor(u), Tensor(v))
+        penalty("disc", Tensor(u), Tensor(v))
 
 
 @pytest.mark.parametrize("kind", ["l1", "sql2", "cos", "kl"])
@@ -139,18 +139,6 @@ def test_identity_pairing_used_when_rows_are_each_others_nearest():
     assert val * 4 == pytest.approx(np.abs(u - v).sum(), abs=1e-9)
 
 
-def test_critic_penalty_and_gradient():
-    u, v = pair(9, b=5, k=4)
-    aux = init_aux("w1-critic", 4, seed=0)
-    w = aux.w.data[:, 0]
-    expect = (u @ w).mean() - (v @ w).mean()
-    node = penalty("w1-critic", Tensor(u), Tensor(v), aux)
-    assert node.item() == pytest.approx(expect, rel=1e-12)
-
-    err = max_rel_error(lambda a, b: penalty("w1-critic", a, b, aux), [u, v], h=1e-5)
-    assert err < 1e-4
-
-
 def test_disc_penalty_formula_and_gradient():
     u, v = pair(10, b=4, k=3)
     aux = init_aux("disc", 3, seed=1)
@@ -173,24 +161,6 @@ def test_penalty_gradients_reach_model_side():
         backward(penalty(kind, ut, vt))
         assert np.any(ut.grad != 0.0), kind
         assert np.any(vt.grad != 0.0), kind
-
-
-def test_critic_update_clips_weights():
-    rng = np.random.default_rng(12)
-    aux = init_aux("w1-critic", 3, seed=2)
-    for _ in range(50):
-        u = rng.normal(loc=5.0, size=(8, 3))
-        v = rng.normal(loc=-5.0, size=(8, 3))
-        aux_update("w1-critic", u, v, aux)
-    assert np.all(np.abs(aux.w.data) <= aux.clip + 1e-15)
-
-
-def test_critic_objective_nondecreasing_after_update():
-    u, v = pair(13, b=10, k=4, spread=2.0)
-    aux = init_aux("w1-critic", 4, seed=3)
-    before = critic_objective(u, v, aux)
-    aux_update("w1-critic", u, v, aux)
-    assert critic_objective(u, v, aux) >= before - 1e-15
 
 
 def test_discriminator_stays_at_chance_on_identical_distributions():
@@ -227,10 +197,10 @@ def test_aux_update_rejects_wrong_kind():
     with pytest.raises(ValueError):
         aux_update("l1", u, v, aux)
     with pytest.raises(ValueError):
-        aux_update("w1-critic", u, v, aux)
+        aux_update("disc", u, v, AuxParams("l1", aux.w, aux.bias, aux.lr))
     with pytest.raises(ValueError):
         init_aux("l1", 3, seed=0)
 
 
 def test_all_kinds_enumerated():
-    assert set(ALIGN_KINDS) == {"l1", "sql2", "cos", "kl", "w1-exact", "w1-critic", "disc"}
+    assert set(ALIGN_KINDS) == {"l1", "sql2", "cos", "kl", "w1-exact", "disc"}

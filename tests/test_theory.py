@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from arlab.datasets import LabeledImages, gen_minidigits
 from arlab.evaluation import accuracy, robust_accuracy
@@ -260,6 +261,28 @@ class TestConfidenceLink:
         assert rep.detail["conf_drop_fraction"] == pytest.approx(drop_hits / len(data))
         assert rep.detail["magnitude_logit_fraction"] == pytest.approx(mag_hits / len(data))
         assert rep.fraction == pytest.approx(both / len(data))
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_confidence_stays_finite(self):
+        # weights scaled up 40-fold drive some true-class confidences below
+        # the smallest double, where a ratio of confidences is inf or 0/0
+        model = init([256, 16, 10], seed=0)
+        for t in model.params.tensors():
+            t.data = t.data * 40.0
+        data = gen_minidigits(50, seed=0)
+        family = family_rotation()
+        rep = check_a6(model, data, family)
+
+        z = np.stack([logits_array(model, apply_batch(t, data.images)) for t in family])
+        idx = np.arange(len(data))
+        logc = z[:, idx, data.labels] - logsumexp(z, axis=2)
+        assert np.any(np.exp(logc) == 0.0)
+        correct = z.argmax(axis=2) == data.labels
+        worst = np.argmin(correct, axis=0)
+        flips = z.argmax(axis=2)[worst, idx] != z[0].argmax(axis=1)
+        hits = logc[0] - logc.min(axis=0) >= flips
+        assert rep.detail["conf_drop_fraction"] == pytest.approx(hits.mean())
+        assert rep.detail["conf_drop_fraction"] == 1.0
 
 
 class TestBoundTerms:

@@ -7,19 +7,23 @@ from arlab.transforms import (
     PixelMap,
     Rotate,
     TransformFamily,
-    apply,
+    _dft_matrix,
     apply_batch,
     family_by_name,
     family_contrast,
     family_rotation,
     family_texture,
-    parse_transform,
 )
 
 
 @pytest.fixture
 def rand_image():
     return np.random.default_rng(0).random((16, 16))
+
+
+def apply(t, image):
+    """One transform on one (h, w) image, as a one-row batch."""
+    return apply_batch(t, image[None])[0]
 
 
 def low_contrast_image(seed=1, size=16):
@@ -117,7 +121,40 @@ def test_apply_batch_matches_per_image_apply():
     for t in (Identity(), FreqCutoff(4.0), Rotate(30.0), PixelMap(0.5, True)):
         batched = apply_batch(t, images)
         for i in range(3):
-            assert np.array_equal(batched[i], apply(t, images[i]))
+            assert np.array_equal(batched[i], apply_batch(t, images[i:i + 1])[0])
+
+
+def dft2(image):
+    h, w = image.shape
+    return _dft_matrix(h) @ image @ _dft_matrix(w)
+
+
+def test_dft_matrix_constant_image_concentrates_at_dc():
+    spectrum = dft2(np.full((8, 8), 0.25))
+    assert spectrum[0, 0].real == pytest.approx(0.25 * 64)
+    off = spectrum.copy()
+    off[0, 0] = 0.0
+    assert np.max(np.abs(off)) < 1e-9
+    assert abs(spectrum[0, 0].imag) < 1e-9
+
+
+def test_dft_matrix_conjugate_inverts_transform():
+    img = np.random.default_rng(5).random((12, 10))
+    back = _dft_matrix(12).conj() @ dft2(img) @ _dft_matrix(10).conj() / (12 * 10)
+    assert np.max(np.abs(back.real - img)) < 1e-6
+    assert np.max(np.abs(back.imag)) < 1e-6
+
+
+def test_dft_matrix_matches_naive_quadruple_loop():
+    img = np.random.default_rng(6).random((4, 5))
+    h, w = img.shape
+    expect = np.zeros((h, w), dtype=complex)
+    for u in range(h):
+        for v in range(w):
+            for r in range(h):
+                for c in range(w):
+                    expect[u, v] += img[r, c] * np.exp(-2j * np.pi * (u * r / h + v * c / w))
+    assert np.max(np.abs(dft2(img) - expect)) < 1e-8
 
 
 def test_family_texture_shape():
@@ -149,16 +186,6 @@ def test_family_contrast_shape():
     assert fam.training_vertex() == PixelMap(1.0, True)
     assert fam.members[1] == PixelMap(0.5, False)
     assert fam.members[5] == PixelMap(0.25, True)
-
-
-def test_serialization_round_trip():
-    for fname in ("texture", "rotation", "contrast"):
-        for t in family_by_name(fname, image_size=16):
-            assert parse_transform(t.name()) == t
-    assert parse_transform("identity") == Identity()
-    assert parse_transform("pix:0.5:1") == PixelMap(0.5, True)
-    with pytest.raises(ValueError):
-        parse_transform("warp:3")
 
 
 def test_family_validation():
