@@ -13,7 +13,7 @@ import numpy as np
 
 from arlab.datasets import gen_minidigits
 from arlab.evaluation import evaluate, invariance_per_class
-from arlab.model import init
+from arlab.model import family_logits, init
 from arlab.training import LrSchedule, TrainPlan, train
 from arlab.transforms import family_rotation
 
@@ -36,7 +36,9 @@ report = evaluate(aligned, data, family, seed=0)
 print(f"aligned network     invariance {report.invariance:.3f}")
 
 # -- 3. the score decomposes per class --------------------------------------
-per_class = invariance_per_class(aligned, data, family)
+# every metric reads the (t, n, k) cube of logits under each family member
+cube = family_logits(aligned, data.images, family)
+per_class = invariance_per_class(cube, data.labels, data.num_classes)
 worst = int(np.argmin(per_class))
 best = int(np.argmax(per_class))
 print(f"per-class range     digit {worst} at {per_class[worst]:.3f} "

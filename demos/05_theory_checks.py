@@ -12,6 +12,7 @@ failures instead of assuming them.
 import json
 
 from arlab.datasets import gen_minidigits
+from arlab.model import family_logits
 from arlab.theory import bound_terms, run_all_checks
 from arlab.training import LrSchedule, TrainPlan, train
 from arlab.transforms import family_rotation
@@ -50,8 +51,11 @@ for mode in ("vertex", "worst-case"):
 blob = json.dumps(doc, sort_keys=True)
 print(f"\nfull report serializes to {len(blob)} bytes of JSON")
 
-# bound_terms is also callable directly with a separate evaluation set
+# bound_terms is also callable directly with a separate evaluation set;
+# like every checker it reads (t, n, k) logit cubes, one per data set
 holdout = gen_minidigits(500, seed=12)
-direct = bound_terms(model, data, holdout, family, "vertex")
+direct = bound_terms(family_logits(model, data.images, family), data.labels,
+                     family_logits(model, holdout.images, family), holdout.labels,
+                     family, "vertex")
 print(f"held-out vertex-risk average {direct.vertex_risk_average:.3f} "
       f"vs robust error {direct.robust_error:.3f}")

@@ -35,12 +35,11 @@ from .evaluation import (
     accuracy,
     evaluate,
     format_table,
-    invariance_score,
     robust_accuracy,
     rows_from_csv,
     rows_to_csv,
 )
-from .model import Classifier, init, load_weights, logits_array, predict_classes, save_weights
+from .model import Classifier, family_logits, init, load_weights, logits_array, save_weights
 from .regularizers import ALIGN_KINDS, init_aux, penalty
 from .tensor import NonFiniteError, ParamSet, Tensor, backward
 from .theory import (
@@ -99,19 +98,18 @@ __all__ = [
     "evaluate",
     "family_by_name",
     "family_contrast",
+    "family_logits",
     "family_rotation",
     "family_texture",
     "format_table",
     "gen_minidigits",
     "init",
     "init_aux",
-    "invariance_score",
     "load_idx",
     "load_weights",
     "logits_array",
     "one_hot",
     "penalty",
-    "predict_classes",
     "robust_accuracy",
     "rows_from_csv",
     "rows_to_csv",

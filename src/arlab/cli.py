@@ -103,12 +103,13 @@ def _check_dataset(spec, field: str) -> dict:
         n = spec.get("n")
         if not isinstance(n, int) or n < 1:
             _fail(f"{field}.n", "must be a positive integer")
-        if not isinstance(spec.get("seed", 0), int):
-            _fail(f"{field}.seed", "must be an integer")
+        seed = spec.get("seed", 0)
+        if not isinstance(seed, int) or seed < 0:
+            _fail(f"{field}.seed", "must be a nonnegative integer")
         size = spec.get("size", 16)
         if not isinstance(size, int) or size < 8:
             _fail(f"{field}.size", "must be an integer >= 8")
-        return {"kind": "minidigits", "n": n, "seed": spec.get("seed", 0), "size": size}
+        return {"kind": "minidigits", "n": n, "seed": seed, "size": size}
     if spec["kind"] == "idx":
         for key in ("images", "labels"):
             if not isinstance(spec.get(key), str):
@@ -155,8 +156,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     seeds = doc.get("seeds", list(DEFAULT_SEEDS))
     if not isinstance(seeds, list) or not seeds or any(
-            not isinstance(s, int) for s in seeds):
-        _fail("seeds", "must be a nonempty list of integers")
+            not isinstance(s, int) or s < 0 for s in seeds):
+        _fail("seeds", "must be a nonempty list of nonnegative integers")
 
     epochs = doc.get("epochs", 10)
     if not isinstance(epochs, int) or epochs < 1:
@@ -331,9 +332,9 @@ def cmd_train(config_path: str, parallel: int = 1,
         raise ConfigError(f"config: cannot read {config_path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}")
+    if seed_override is not None and isinstance(doc, dict):
+        doc = {**doc, "seeds": [seed_override]}
     config = parse_config(doc)
-    if seed_override is not None:
-        config = ExperimentConfig(**{**config.__dict__, "seeds": (seed_override,)})
     # each split is built once per run and shared by every cell
     data = _load_dataset(config.dataset)
     eval_spec = _eval_spec(config)
@@ -341,7 +342,7 @@ def cmd_train(config_path: str, parallel: int = 1,
     # a held-out split no cell could be scored on is the run's fault, not a
     # cell's; every model is as wide as the train split's class count
     _check_num_classes(hold_out, data.num_classes, "the train split")
-    check_class_sizes(hold_out)
+    check_class_sizes(hold_out.labels, hold_out.num_classes)
 
     out = resolve_output_dir(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -391,24 +392,28 @@ def cmd_train(config_path: str, parallel: int = 1,
     return out
 
 
-def _parse_data_arg(spec: str, fallback_size: int = 16) -> LabeledImages:
-    """Dataset argument: 'minidigits:<n>:<seed>[:<size>]' or '<images>,<labels>'."""
+def _parse_data_arg(spec: str) -> LabeledImages:
+    """Dataset argument: 'minidigits:<n>:<seed>[:<size>]' or '<images>,<labels>'.
+
+    The fields go through the same checks as a config's dataset object.
+    """
     if spec.startswith("minidigits:"):
         parts = spec.split(":")
         if len(parts) not in (3, 4):
             raise ConfigError(
                 f"data: expected minidigits:<n>:<seed>[:<size>], got {spec!r}")
         try:
-            n, seed = int(parts[1]), int(parts[2])
-            size = int(parts[3]) if len(parts) == 4 else fallback_size
+            fields = [int(x) for x in parts[1:]]
         except ValueError:
             raise ConfigError(f"data: non-integer field in {spec!r}")
-        return gen_minidigits(n, seed, size)
-    if "," in spec:
+        doc = {"kind": "minidigits", **dict(zip(("n", "seed", "size"), fields))}
+    elif "," in spec:
         images, labels = spec.split(",", 1)
-        return load_idx(images, labels)
-    raise ConfigError(
-        f"data: expected minidigits:<n>:<seed> or <images>,<labels>, got {spec!r}")
+        doc = {"kind": "idx", "images": images, "labels": labels}
+    else:
+        raise ConfigError(
+            f"data: expected minidigits:<n>:<seed> or <images>,<labels>, got {spec!r}")
+    return _load_dataset(_check_dataset(doc, "data"))
 
 
 def cmd_eval(weights_path: str, data_spec: str, family_name: str,

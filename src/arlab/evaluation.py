@@ -1,5 +1,10 @@
 """Evaluation metrics: accuracy, worst-case robustness, and invariance.
 
+Every metric reads one (t, n, k) logit cube, the logits of each of n
+samples under each of the family's t members (``model.family_logits``);
+member 0 is the identity, so slice 0 holds the plain logits.  ``evaluate``
+builds the cube once per (model, data, family).
+
 The invariance test scores how often a sample's transformed copies are its
 own nearest neighbors in logit space: per class, a pool holds every
 transformed copy of every sample (one block per transform, sample order
@@ -19,8 +24,8 @@ import numpy as np
 
 from .datasets import LabeledImages
 from .errors import DegenerateInputError, MergeError
-from .model import Classifier, logits_array, predict_classes
-from .transforms import TransformFamily, apply_batch
+from .model import Classifier, family_logits
+from .transforms import TransformFamily
 
 METHOD_ORDER = ("B", "V", "L", "S", "C", "K", "W", "D")
 
@@ -37,28 +42,26 @@ class EvalReport:
     seed: int
 
 
-def accuracy(model: Classifier, data: LabeledImages) -> float:
-    """Fraction of samples whose predicted class matches the label."""
-    if len(data) == 0:
+def accuracy(z: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of (n, k) logit rows whose argmax matches the label.
+
+    Ties resolve to the lowest class index.
+    """
+    if len(labels) == 0:
         raise ValueError("cannot evaluate on empty data")
-    return float(np.mean(predict_classes(model, data.images) == data.labels))
+    return float(np.mean(np.argmax(z, axis=1) == labels))
 
 
-def robust_accuracy(model: Classifier, data: LabeledImages,
-                    family: TransformFamily) -> float:
+def robust_accuracy(cube: np.ndarray, labels: np.ndarray) -> float:
     """Fraction classified correctly under every member of the family."""
-    if len(data) == 0:
+    if len(labels) == 0:
         raise ValueError("cannot evaluate on empty data")
-    correct = np.ones(len(data), dtype=bool)
-    for t in family:
-        preds = predict_classes(model, apply_batch(t, data.images))
-        correct &= preds == data.labels
-    return float(np.mean(correct))
+    return float(np.mean(np.all(np.argmax(cube, axis=2) == labels, axis=0)))
 
 
-def check_class_sizes(data: LabeledImages) -> None:
+def check_class_sizes(labels: np.ndarray, num_classes: int) -> None:
     """The invariance test needs at least two samples in every class."""
-    counts = np.bincount(data.labels, minlength=data.num_classes)
+    counts = np.bincount(labels, minlength=num_classes)
     short = np.flatnonzero(counts < 2)
     if short.size:
         cls = int(short[0])
@@ -66,19 +69,17 @@ def check_class_sizes(data: LabeledImages) -> None:
             f"class {cls} has {counts[cls]} sample(s); the invariance test needs >= 2")
 
 
-def invariance_per_class(model: Classifier, data: LabeledImages,
-                         family: TransformFamily) -> np.ndarray:
+def invariance_per_class(cube: np.ndarray, labels: np.ndarray,
+                         num_classes: int) -> np.ndarray:
     """Per-class nearest-neighbor overlap scores, classes in label order."""
-    check_class_sizes(data)
-    t = len(family)
-    scores = np.zeros(data.num_classes)
-    for cls in range(data.num_classes):
-        members = np.flatnonzero(data.labels == cls)
+    check_class_sizes(labels, num_classes)
+    t = cube.shape[0]
+    scores = np.zeros(num_classes)
+    for cls in range(num_classes):
+        members = np.flatnonzero(labels == cls)
         m = members.size
-        originals = data.images[members]
-        query = logits_array(model, originals)
-        pool = np.concatenate(
-            [logits_array(model, apply_batch(a, originals)) for a in family])
+        query = cube[0, members]
+        pool = cube[:, members].reshape(t * m, -1)
         dists = np.abs(query[:, None, :] - pool[None, :, :]).sum(axis=2)
         # stable sort resolves distance ties toward the lower pool index
         nearest = np.argsort(dists, axis=1, kind="stable")[:, :t]
@@ -88,19 +89,16 @@ def invariance_per_class(model: Classifier, data: LabeledImages,
     return scores
 
 
-def invariance_score(model: Classifier, data: LabeledImages,
-                     family: TransformFamily) -> float:
-    """Average invariance over classes; in [1/t, 1] with identity present."""
-    return float(invariance_per_class(model, data, family).mean())
-
-
 def evaluate(model: Classifier, data: LabeledImages, family: TransformFamily,
              seed: int) -> EvalReport:
-    """All three metrics in one report."""
-    per_class = invariance_per_class(model, data, family)
+    """All three metrics in one report, read off one logit cube."""
+    # checked before the forward pass, which cannot take empty data
+    check_class_sizes(data.labels, data.num_classes)
+    cube = family_logits(model, data.images, family)
+    per_class = invariance_per_class(cube, data.labels, data.num_classes)
     return EvalReport(
-        accuracy=accuracy(model, data),
-        robust_accuracy=robust_accuracy(model, data, family),
+        accuracy=accuracy(cube[0], data.labels),
+        robust_accuracy=robust_accuracy(cube, data.labels),
         invariance=float(per_class.mean()),
         per_class_invariance=tuple(float(x) for x in per_class),
         family=family.family_name,

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from . import tensor as T
+from .transforms import TransformFamily, apply_batch
 
 WEIGHTS_MAGIC = b"ARLABW01"
 
@@ -93,9 +94,13 @@ def logits_array(model: Classifier, images: np.ndarray) -> np.ndarray:
     return h
 
 
-def predict_classes(model: Classifier, images: np.ndarray) -> np.ndarray:
-    """Predicted class indices; ties resolve to the lowest index."""
-    return np.argmax(logits_array(model, images), axis=1)
+def family_logits(model: Classifier, images: np.ndarray,
+                  family: TransformFamily) -> np.ndarray:
+    """The (t, n, k) logit cube: slice j holds every image under member j.
+
+    Member 0 is the identity, so slice 0 is the plain forward pass.
+    """
+    return np.stack([logits_array(model, apply_batch(a, images)) for a in family])
 
 
 def save_weights(model: Classifier, path) -> None:

@@ -322,9 +322,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
 

@@ -8,6 +8,11 @@ check verifies the matching identity that collapses the empirical
 Wasserstein distance to a per-pair L1 sum whenever efficiency holds, and
 ``bound_terms`` evaluates every computable term of the two robust-error
 bounds.  The capacity term phi shared by both bounds is never evaluated.
+
+Every checker reads one (t, n, k) logit cube, the logits of each of n
+samples under each of the family's t members (``model.family_logits``);
+member 0 is the identity, so slice 0 holds the plain logits.
+``run_all_checks`` builds the cube once per (model, data, family).
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from typing import Optional
 import numpy as np
 
 from .datasets import LabeledImages
+from .errors import DegenerateInputError
 from .evaluation import accuracy, robust_accuracy
-from .model import Classifier, logits_array, predict_classes
+from .model import Classifier, family_logits
 from .tensor import _log_softmax
-from .training import worst_case_copy
-from .transforms import TransformFamily, apply_batch
+from .training import select_worst
+from .transforms import TransformFamily
 from .wasserstein import pairwise_l1, w1_exact
 
 WITNESS_CAP = 10
@@ -56,28 +62,21 @@ class AssumptionReport:
         return out
 
 
-def _efficiency_by_member(model: Classifier, data: LabeledImages,
-                          family: TransformFamily):
-    """Per-member satisfied masks for the efficiency condition.
+def _efficient(z: np.ndarray, za: np.ndarray) -> np.ndarray:
+    """Per-sample mask of the efficiency condition for one member.
 
     A pair (x, a) is efficient when f(a(x)) is at least as close, in L1, to
     f(x) as to the representation of any other sample.
     """
-    z = logits_array(model, data.images)
-    masks = []
-    for t in family:
-        za = logits_array(model, apply_batch(t, data.images))
-        dists = pairwise_l1(za, z)
-        own = np.diag(dists).copy()
-        np.fill_diagonal(dists, np.inf)
-        masks.append(own <= dists.min(axis=1))
-    return masks
+    dists = pairwise_l1(za, z)
+    own = np.diag(dists).copy()
+    np.fill_diagonal(dists, np.inf)
+    return own <= dists.min(axis=1)
 
 
-def check_efficiency(model: Classifier, data: LabeledImages,
-                     family: TransformFamily) -> AssumptionReport:
+def check_efficiency(cube: np.ndarray, family: TransformFamily) -> AssumptionReport:
     """Fraction of (sample, transform) pairs meeting the efficiency condition."""
-    masks = _efficiency_by_member(model, data, family)
+    masks = [_efficient(cube[0], za) for za in cube]
     witnesses = []
     for t, mask in zip(family, masks):
         for i in np.flatnonzero(~mask):
@@ -101,8 +100,8 @@ class PropA2Entry:
     holds: bool
 
 
-def check_prop_a2(model: Classifier, data: LabeledImages,
-                  family: TransformFamily, tol: float = 1e-9) -> list:
+def check_prop_a2(cube: np.ndarray, family: TransformFamily,
+                  tol: float = 1e-9) -> list:
     """Compare exact W1 against the per-pair L1 sum for every member.
 
     Whenever the efficiency condition holds for every sample under a
@@ -111,15 +110,13 @@ def check_prop_a2(model: Classifier, data: LabeledImages,
     The gap is nonnegative in every case because the identity pairing is
     one feasible matching.
     """
-    z = logits_array(model, data.images)
-    masks = _efficiency_by_member(model, data, family)
+    z = cube[0]
     entries = []
-    for t, mask in zip(family, masks):
-        za = logits_array(model, apply_batch(t, data.images))
+    for t, za in zip(family, cube):
         lhs = w1_exact(z, za)
         rhs = float(np.abs(z - za).sum())
         gap = rhs - lhs
-        frac = float(mask.mean())
+        frac = float(_efficient(z, za).mean())
         holds = gap <= tol
         if frac == 1.0 and not holds:
             raise AssertionError(
@@ -128,17 +125,15 @@ def check_prop_a2(model: Classifier, data: LabeledImages,
     return entries
 
 
-def check_vertices(model: Classifier, data: LabeledImages,
-                   family: TransformFamily) -> AssumptionReport:
+def check_vertices(cube: np.ndarray, family: TransformFamily) -> AssumptionReport:
     """Does the designated vertex pair attain the largest pairwise W1 gap?"""
     if len(family) < 2:
         raise ValueError("vertex check needs at least two family members")
-    sets = [logits_array(model, apply_batch(t, data.images)) for t in family]
-    n = len(sets)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i, j] = matrix[j, i] = w1_exact(sets[i], sets[j])
+    t = len(family)
+    matrix = np.zeros((t, t))
+    for i in range(t):
+        for j in range(i + 1, t):
+            matrix[i, j] = matrix[j, i] = w1_exact(cube[i], cube[j])
     best = float(matrix.max())
     arg = np.unravel_index(int(matrix.argmax()), matrix.shape)
     argmax_pair = sorted(int(x) for x in arg)
@@ -156,8 +151,7 @@ def check_vertices(model: Classifier, data: LabeledImages,
                             detail=detail, pairwise_matrix=matrix.tolist())
 
 
-def check_a6(model: Classifier, data: LabeledImages,
-             family: TransformFamily) -> AssumptionReport:
+def check_a6(cube: np.ndarray, labels: np.ndarray) -> AssumptionReport:
     """Check the two inequalities linking confidence and prediction flips.
 
     The first demands that whenever some transform flips the prediction,
@@ -167,25 +161,15 @@ def check_a6(model: Classifier, data: LabeledImages,
     the logits, since softmax outputs can never reach magnitude one, and
     both readings are reported.
     """
-    n = len(data)
-    idx = np.arange(n)
-    z_orig = logits_array(model, data.images)
-    logc_orig = _log_softmax(z_orig)[idx, data.labels]
-    pred_orig = predict_classes(model, data.images)
-    logc = np.empty((len(family), n))
-    true_logit = np.empty((len(family), n))
-    correct = np.empty((len(family), n), dtype=bool)
-    preds = np.empty((len(family), n), dtype=np.int64)
-    for j, t in enumerate(family):
-        za = logits_array(model, apply_batch(t, data.images))
-        logc[j] = _log_softmax(za)[idx, data.labels]
-        true_logit[j] = za[idx, data.labels]
-        preds[j] = za.argmax(axis=1)
-        correct[j] = preds[j] == data.labels
+    idx = np.arange(cube.shape[1])
+    logc = _log_softmax(cube)[:, idx, labels]
+    logc_orig = logc[0]
+    true_logit = cube[:, idx, labels]
+    preds = cube.argmax(axis=2)
     # the worst copy by classification error: the first misclassified
     # member, or the first member when every copy stays correct
-    worst_idx = np.argmin(correct, axis=0)
-    flips = preds[worst_idx, idx] != pred_orig
+    worst_idx = np.argmin(preds == labels, axis=0)
+    flips = preds[worst_idx, idx] != preds[0]
     # the confidence ratio is compared in log space, where a confidence
     # that underflows to 0 stays finite
     logc_worst = logc.min(axis=0)
@@ -226,40 +210,36 @@ class BoundReport:
         return asdict(self)
 
 
-def bound_terms(model: Classifier, train_data: LabeledImages,
-                eval_data: LabeledImages, family: TransformFamily,
-                mode: str) -> BoundReport:
+def bound_terms(train_cube: np.ndarray, train_labels: np.ndarray,
+                eval_cube: np.ndarray, eval_labels: np.ndarray,
+                family: TransformFamily, mode: str) -> BoundReport:
     """Evaluate the bound's left side and its computable right-side terms.
 
-    Worst-case mode pairs each training sample with its adversarially
-    chosen copy; vertex mode pairs the two designated extremes.  Alignment
-    is reported both as the raw sum and as a per-sample mean, since the
-    analysis leaves the normalization open.
+    The empirical terms read the training cube and the robust error reads
+    the evaluation cube.  Worst-case mode pairs each training sample with
+    its adversarially chosen copy (``training.select_worst``); vertex mode
+    pairs the two designated extremes.  Alignment is reported both as the
+    raw sum and as a per-sample mean, since the analysis leaves the
+    normalization open.
     """
     if mode not in ("worst-case", "vertex"):
         raise ValueError(f"mode must be 'worst-case' or 'vertex', got {mode!r}")
-    robust_err = 1.0 - robust_accuracy(model, eval_data, family)
-    empirical_risk = 1.0 - accuracy(model, train_data)
-    plus = family.members[family.vertex_plus]
-    minus = family.members[family.vertex_minus]
-    risk_plus = 1.0 - accuracy(model, LabeledImages(
-        apply_batch(plus, train_data.images), train_data.labels, train_data.num_classes))
-    risk_minus = 1.0 - accuracy(model, LabeledImages(
-        apply_batch(minus, train_data.images), train_data.labels, train_data.num_classes))
-    vertex_avg = 0.5 * (risk_plus + risk_minus)
+    plus = train_cube[family.vertex_plus]
+    minus = train_cube[family.vertex_minus]
+    risk_plus = 1.0 - accuracy(plus, train_labels)
+    risk_minus = 1.0 - accuracy(minus, train_labels)
     if mode == "worst-case":
-        u = logits_array(model, train_data.images)
-        v = logits_array(model, worst_case_copy(
-            model, train_data.images, train_data.labels, family))
+        picks = select_worst(train_cube, train_labels)
+        u = train_cube[0]
+        v = train_cube[picks, np.arange(len(train_labels))]
     else:
-        u = logits_array(model, apply_batch(plus, train_data.images))
-        v = logits_array(model, apply_batch(minus, train_data.images))
+        u, v = plus, minus
     per_sample = np.abs(u - v).sum(axis=1)
     return BoundReport(
         mode=mode,
-        robust_error=robust_err,
-        empirical_risk=empirical_risk,
-        vertex_risk_average=vertex_avg,
+        robust_error=1.0 - robust_accuracy(eval_cube, eval_labels),
+        empirical_risk=1.0 - accuracy(train_cube[0], train_labels),
+        vertex_risk_average=0.5 * (risk_plus + risk_minus),
         alignment_sum=float(per_sample.sum()),
         alignment_mean=float(per_sample.mean()),
     )
@@ -268,16 +248,18 @@ def bound_terms(model: Classifier, train_data: LabeledImages,
 def run_all_checks(model: Classifier, data: LabeledImages,
                    family: TransformFamily) -> dict:
     """Every checker on one (model, data, family) triple, as one JSON tree."""
+    if len(data) == 0:
+        raise DegenerateInputError("the theory checks need at least one sample")
+    cube = family_logits(model, data.images, family)
+    labels = data.labels
     return {
         "family": family.family_name,
         "samples": len(data),
-        "A2": check_efficiency(model, data, family).to_json(),
-        "A3": check_vertices(model, data, family).to_json(),
+        "A2": check_efficiency(cube, family).to_json(),
+        "A3": check_vertices(cube, family).to_json(),
         "A5": {"assumption": "A5", "note": A5_NOTE},
-        "A6": check_a6(model, data, family).to_json(),
-        "matching_identity": [asdict(e) for e in check_prop_a2(model, data, family)],
-        "bounds": {
-            "worst-case": bound_terms(model, data, data, family, "worst-case").to_json(),
-            "vertex": bound_terms(model, data, data, family, "vertex").to_json(),
-        },
+        "A6": check_a6(cube, labels).to_json(),
+        "matching_identity": [asdict(e) for e in check_prop_a2(cube, family)],
+        "bounds": {mode: bound_terms(cube, labels, cube, labels, family, mode).to_json()
+                   for mode in ("worst-case", "vertex")},
     }

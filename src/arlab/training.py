@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .datasets import LabeledImages, batches, one_hot
 from .errors import ConfigError, DivergenceError
-from .model import Classifier, init, logits, logits_array
+from .model import Classifier, family_logits, init, logits, logits_array
 from .regularizers import AUX_KINDS, ALIGN_KINDS, AuxParams, aux_update, init_aux, penalty
 from .tensor import NonFiniteError, softmax_array
 from .transforms import TransformFamily, apply_batch
@@ -88,26 +88,22 @@ class RunHistory:
     model: Classifier
 
 
-def select_worst(model: Classifier, images: np.ndarray, labels: np.ndarray,
-                 family: TransformFamily) -> np.ndarray:
+def select_worst(cube: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample index of the family member maximizing cross-entropy.
 
+    ``cube`` is the batch's (t, n, k) logit cube (``model.family_logits``).
     Equivalently the member minimizing the true class's softmax probability.
     Gradient-free; ties resolve to the lowest member index.
     """
     labels = np.asarray(labels)
-    n = images.shape[0]
-    scores = np.empty((len(family), n))
-    for j, t in enumerate(family):
-        probs = softmax_array(logits_array(model, apply_batch(t, images)))
-        scores[j] = probs[np.arange(n), labels]
-    return np.argmin(scores, axis=0)
+    probs = softmax_array(cube)
+    return np.argmin(probs[:, np.arange(len(labels)), labels], axis=0)
 
 
 def worst_case_copy(model: Classifier, images: np.ndarray, labels: np.ndarray,
                     family: TransformFamily) -> np.ndarray:
     """Each image under its own worst-case family member (see select_worst)."""
-    picks = select_worst(model, images, labels, family)
+    picks = select_worst(family_logits(model, images, family), labels)
     out = np.empty_like(images)
     for j in np.unique(picks):
         mask = picks == j

@@ -165,9 +165,13 @@ def test_criterion_3_matching_identity_and_strict_violation():
     efficient = row_data(np.eye(4), [0, 1, 2, 3], 4)
     shrink = TransformFamily("shrinkpair",
                              (Identity(), PixelMap(0.9, False)), 0, 1)
-    report = check_efficiency(model, efficient, shrink)
+    report = check_efficiency(
+        np.stack([logits_array(model, apply_batch(a, efficient.images)) for a in shrink]),
+        shrink)
     assert report.fraction == 1.0, "fixture must verifiably satisfy efficiency"
-    entries = check_prop_a2(model, efficient, shrink)
+    entries = check_prop_a2(
+        np.stack([logits_array(model, apply_batch(a, efficient.images)) for a in shrink]),
+        shrink)
     for entry in entries:
         assert entry.holds
         assert abs(entry.gap) < 1e-9
@@ -182,9 +186,12 @@ def test_criterion_3_matching_identity_and_strict_violation():
     # while the per-pair sum stays far from zero.
     swapped = row_data([[0.8, 0.2], [0.2, 0.8]], [0, 1], 2)
     negate = TransformFamily("negpair", (Identity(), PixelMap(1.0, True)), 0, 1)
-    assert check_efficiency(model2 := passthrough_model(2),
-                            swapped, negate).fraction < 1.0
-    violating = [e for e in check_prop_a2(model2, swapped, negate)
+    assert check_efficiency(np.stack([logits_array(model2 := passthrough_model(2),
+                                                   apply_batch(a, swapped.images))
+                                      for a in negate]), negate).fraction < 1.0
+    violating = [e for e in check_prop_a2(
+                     np.stack([logits_array(model2, apply_batch(a, swapped.images))
+                               for a in negate]), negate)
                  if e.transform != "identity"]
     assert len(violating) == 1
     entry = violating[0]
@@ -338,7 +345,9 @@ def test_criterion_7_worst_case_selection_oracle():
         family = families[i % 3]
         model = init([IMAGE_SIZE * IMAGE_SIZE, 10, 10], seed=200 + i)
         batch = gen_minidigits(8, seed=300 + i)
-        picks = select_worst(model, batch.images, batch.labels, family)
+        picks = select_worst(
+            np.stack([logits_array(model, apply_batch(member, batch.images))
+                      for member in family]), batch.labels)
         ce = np.empty((len(family), len(batch)))
         for j, member in enumerate(family):
             z = logits_array(model, apply_batch(member, batch.images))

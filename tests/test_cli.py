@@ -56,9 +56,11 @@ class TestParseConfig:
             ({"lambda_grid": [0.0, 0.1]}, "lambda_grid"),
             ({"lambda_grid": []}, "lambda_grid"),
             ({"seeds": []}, "seeds"),
+            ({"seeds": [0, -1]}, "seeds"),
             ({"epochs": 0}, "epochs"),
             ({"batch_size": -1}, "batch_size"),
             ({"dataset": {"kind": "minidigits"}}, "dataset.n"),
+            ({"dataset": {"kind": "minidigits", "n": 8, "seed": -1}}, "dataset.seed"),
             ({"dataset": {"kind": "csv"}}, "dataset.kind"),
             ({"model": {"hidden": []}}, "model.hidden"),
             ({"output_dir": ""}, "output_dir"),
@@ -150,6 +152,8 @@ class TestTrain:
         assert main(["train", "--config", str(config_path), "--seed", "7"]) == 0
         rows = rows_from_csv((out / "metrics.csv").read_text())
         assert [r.seed for r in rows] == [7]
+        # the override passes the same check as the config's seed list
+        assert main(["train", "--config", str(config_path), "--seed", "-1"]) == 2
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path, methods=[])
@@ -283,9 +287,21 @@ class TestEval:
         assert code == 3
 
     def test_bad_data_spec_exits_2(self, trained_run, tmp_path, capsys):
-        code = main(["eval", "--weights", str(trained_run / "B_none_0" / "weights.bin"),
+        weights = str(trained_run / "B_none_0" / "weights.bin")
+        code = main(["eval", "--weights", weights,
                      "--data", "minidigits:forty:0", "--family", "rotation"])
         assert code == 2
+
+        # the fields pass the same checks as a config's dataset object
+        capsys.readouterr()
+        for command in ("eval", "theory"):
+            for spec, field in (("minidigits:0:1", "data.n"), ("minidigits:-3:1", "data.n"),
+                                ("minidigits:40:1:4", "data.size"),
+                                ("minidigits:40:-1", "data.seed")):
+                code = main([command, "--weights", weights, "--data", spec,
+                             "--family", "rotation"])
+                assert code == 2, (command, spec)
+                assert f"config error: {field}:" in capsys.readouterr().err
 
         # a model with 9 outputs can never predict the data's tenth class
         narrow = tmp_path / "narrow.bin"
@@ -314,6 +330,16 @@ class TestEval:
 
 
 class TestTheory:
+    def test_empty_split_exits_2(self, trained_run, tmp_path, capsys):
+        empty = LabeledImages(np.zeros((0, 16, 16)), np.zeros(0, dtype=np.int64), 10)
+        images_path, labels_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        save_idx(empty, images_path, labels_path)
+        for command in ("theory", "eval"):
+            code = main([command, "--weights", str(trained_run / "B_none_0" / "weights.bin"),
+                         "--data", f"{images_path},{labels_path}", "--family", "rotation"])
+            assert code == 2, command
+            assert "config error:" in capsys.readouterr().err
+
     def test_completes_with_sane_fractions(self, trained_run, tmp_path):
         json_path = tmp_path / "theory.json"
         code = main(["theory", "--weights", str(trained_run / "B_none_0" / "weights.bin"),

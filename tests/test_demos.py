@@ -1,0 +1,17 @@
+"""Every demo script runs to completion against the current API."""
+
+import runpy
+import tempfile
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script, tmp_path, monkeypatch, capsys):
+    # demos that write files put them under tempfile's directory
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out

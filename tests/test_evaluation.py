@@ -9,14 +9,13 @@ from arlab.evaluation import (
     evaluate,
     format_table,
     invariance_per_class,
-    invariance_score,
     robust_accuracy,
     rows_from_csv,
     rows_to_csv,
     summarize,
     summary_csv,
 )
-from arlab.model import init, predict_classes
+from arlab.model import family_logits, init, logits_array
 from arlab.transforms import (
     Identity,
     PixelMap,
@@ -62,33 +61,43 @@ def singleton_family():
     return TransformFamily("only-id", (Identity(),), 0, 0)
 
 
+def plain_accuracy(model, data):
+    return accuracy(logits_array(model, data.images), data.labels)
+
+
+def invariance(model, data, family):
+    return evaluate(model, data, family, seed=0).invariance
+
+
 def test_accuracy_oracle_model_is_perfect():
     data = onehot_data(np.arange(10))
-    assert accuracy(onehot_model(), data) == 1.0
+    assert plain_accuracy(onehot_model(), data) == 1.0
 
 
 def test_accuracy_constant_model_hits_class_prior():
     data = gen_minidigits(100, seed=0)
-    assert accuracy(constant_model(winner=3), data) == pytest.approx(0.1)
+    assert plain_accuracy(constant_model(winner=3), data) == pytest.approx(0.1)
 
 
 def test_accuracy_hand_count():
     labels = np.array([0, 1, 2, 3, 4])
     data = onehot_data(labels)
     wrong = LabeledImages(data.images, np.array([0, 1, 2, 4, 3]), 10)
-    assert accuracy(onehot_model(), wrong) == pytest.approx(3 / 5)
+    assert plain_accuracy(onehot_model(), wrong) == pytest.approx(3 / 5)
 
 
 def test_accuracy_rejects_empty_data():
-    empty = LabeledImages(np.zeros((0, 2, 2)), np.zeros(0, dtype=int), 10)
     with pytest.raises(ValueError):
-        accuracy(onehot_model(4), empty)
+        accuracy(np.zeros((0, 4)), np.zeros(0, dtype=int))
+    with pytest.raises(ValueError):
+        robust_accuracy(np.zeros((2, 0, 4)), np.zeros(0, dtype=int))
 
 
 def test_robust_accuracy_singleton_family_equals_accuracy():
     data = gen_minidigits(60, seed=1)
     m = init([256, 32, 10], seed=2)
-    assert robust_accuracy(m, data, singleton_family()) == accuracy(m, data)
+    cube = family_logits(m, data.images, singleton_family())
+    assert robust_accuracy(cube, data.labels) == plain_accuracy(m, data)
 
 
 def test_robust_accuracy_never_exceeds_accuracy():
@@ -96,8 +105,8 @@ def test_robust_accuracy_never_exceeds_accuracy():
     for seed in range(5):
         m = init([256, 24, 10], seed=seed)
         for fname in ("texture", "rotation", "contrast"):
-            fam = family_by_name(fname, image_size=16)
-            assert robust_accuracy(m, data, fam) <= accuracy(m, data)
+            cube = family_logits(m, data.images, family_by_name(fname, image_size=16))
+            assert robust_accuracy(cube, data.labels) <= plain_accuracy(m, data)
 
 
 def test_robust_accuracy_matches_exhaustive_truth_table():
@@ -106,10 +115,11 @@ def test_robust_accuracy_matches_exhaustive_truth_table():
     m = init([256, 16, 10], seed=4)
     per_member = []
     for t in fam:
-        preds = predict_classes(m, apply_batch(t, data.images))
+        preds = logits_array(m, apply_batch(t, data.images)).argmax(axis=1)
         per_member.append(preds == data.labels)
     expect = np.mean(np.logical_and.reduce(per_member))
-    assert robust_accuracy(m, data, fam) == pytest.approx(expect)
+    cube = family_logits(m, data.images, fam)
+    assert robust_accuracy(cube, data.labels) == pytest.approx(expect)
 
 
 def test_invariance_constant_model_hand_value():
@@ -117,14 +127,13 @@ def test_invariance_constant_model_hand_value():
     # entries; with two samples per class and t=2 the overlap is always one
     data = onehot_data(np.array([0, 0, 1, 1]), k=2)
     m = constant_model(k=2, d=2)
-    score = invariance_score(m, data, identity_pair_family())
-    assert score == pytest.approx(0.5)
+    assert invariance(m, data, identity_pair_family()) == pytest.approx(0.5)
 
 
 def test_invariance_perfectly_invariant_model_scores_one():
     data = gen_minidigits(40, seed=5)
     m = init([256, 16, 10], seed=6)
-    assert invariance_score(m, data, identity_pair_family()) == 1.0
+    assert invariance(m, data, identity_pair_family()) == 1.0
 
 
 def test_invariance_within_floor_and_ceiling():
@@ -133,7 +142,7 @@ def test_invariance_within_floor_and_ceiling():
         m = init([256, 16, 10], seed=seed)
         for fname in ("texture", "rotation", "contrast"):
             fam = family_by_name(fname, image_size=16)
-            score = invariance_score(m, data, fam)
+            score = invariance(m, data, fam)
             assert 1 / len(fam) <= score <= 1.0
 
 
@@ -141,14 +150,24 @@ def test_invariance_rejects_degenerate_class():
     images = np.random.default_rng(0).random((3, 4, 4))
     data = LabeledImages(images, np.array([0, 0, 1]), 2)
     m = init([16, 8, 2], seed=0)
+    cube = family_logits(m, data.images, identity_pair_family())
     with pytest.raises(DegenerateInputError, match="class 1"):
-        invariance_score(m, data, identity_pair_family())
+        invariance_per_class(cube, data.labels, data.num_classes)
+    with pytest.raises(DegenerateInputError, match="class 1"):
+        evaluate(m, data, identity_pair_family(), seed=0)
+
+
+def test_evaluate_rejects_empty_data_before_the_forward_pass():
+    empty = LabeledImages(np.zeros((0, 16, 16)), np.zeros(0, dtype=int), 10)
+    with pytest.raises(DegenerateInputError, match="class 0"):
+        evaluate(init([256, 8, 10], seed=0), empty, family_by_name("rotation"), seed=0)
 
 
 def test_invariance_per_class_breakdown_shape():
     data = gen_minidigits(40, seed=7)
     m = init([256, 16, 10], seed=8)
-    per_class = invariance_per_class(m, data, family_by_name("contrast"))
+    cube = family_logits(m, data.images, family_by_name("contrast"))
+    per_class = invariance_per_class(cube, data.labels, data.num_classes)
     assert per_class.shape == (10,)
     assert np.all((per_class >= 0.0) & (per_class <= 1.0))
 
@@ -158,12 +177,22 @@ def test_evaluate_bundles_all_metrics():
     fam = family_by_name("rotation")
     m = init([256, 16, 10], seed=11)
     rep = evaluate(m, data, fam, seed=11)
-    assert rep.accuracy == accuracy(m, data)
-    assert rep.robust_accuracy == robust_accuracy(m, data, fam)
+    assert rep.accuracy == plain_accuracy(m, data)
+    assert rep.robust_accuracy == robust_accuracy(
+        family_logits(m, data.images, fam), data.labels)
     assert rep.invariance == pytest.approx(np.mean(rep.per_class_invariance))
     assert len(rep.per_class_invariance) == 10
     assert rep.family == "rotation"
     assert rep.seed == 11
+
+
+@pytest.mark.parametrize("fname", ["texture", "rotation", "contrast"])
+def test_evaluate_transforms_each_member_once(fname, apply_batch_calls):
+    # one logit cube serves every metric
+    data = gen_minidigits(40, seed=12)
+    fam = family_by_name(fname, image_size=16)
+    evaluate(init([256, 16, 10], seed=13), data, fam, seed=0)
+    assert apply_batch_calls == list(fam)
 
 
 def test_metrics_are_deterministic():

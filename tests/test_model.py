@@ -4,14 +4,16 @@ import pytest
 from arlab import tensor as T
 from arlab.datasets import one_hot
 from arlab.errors import FormatError, ShapeError
+from arlab.evaluation import accuracy, robust_accuracy
 from arlab.model import (
+    family_logits,
     init,
     load_weights,
     logits,
     logits_array,
-    predict_classes,
     save_weights,
 )
+from arlab.transforms import apply_batch, family_by_name
 
 from gradcheck import numeric_grads
 
@@ -87,7 +89,7 @@ def test_parameter_gradients_match_finite_differences():
     m = init([9, 6, 4], seed=2)
     imgs = np.random.default_rng(5).random((3, 3, 3))
     y = one_hot(np.array([0, 3, 1]), 4)
-    names = m.params.names()
+    names = [name for name, _ in m.params.items()]
 
     def build(*param_tensors):
         h = T.Tensor(imgs.reshape(3, 9))
@@ -113,11 +115,14 @@ def test_parameter_gradients_match_finite_differences():
 
 
 def test_predict_tie_breaks_to_lowest_index():
-    m = small_model()
-    # force identical logits by zeroing everything
+    m = init([256, 8, 3], seed=0)
+    # force identical logits by zeroing everything: a fully tied cube
     for t in m.params.tensors():
         t.data = np.zeros_like(t.data)
-    assert np.array_equal(predict_classes(m, rand_images(4)), np.zeros(4))
+    cube = family_logits(m, rand_images(4, side=16), family_by_name("rotation"))
+    assert accuracy(cube[0], np.zeros(4, dtype=int)) == 1.0
+    assert robust_accuracy(cube, np.zeros(4, dtype=int)) == 1.0
+    assert robust_accuracy(cube, np.array([0, 0, 1, 2])) == 0.5
 
 
 def test_predict_matches_argmax_of_softmax():
@@ -125,16 +130,29 @@ def test_predict_matches_argmax_of_softmax():
     imgs = rand_images(10, seed=8)
     z = logits_array(m, imgs)
     p = T.softmax_array(z)
-    assert np.array_equal(predict_classes(m, imgs), p.argmax(axis=1))
+    assert accuracy(z, p.argmax(axis=1)) == 1.0
 
 
 def test_predict_shift_invariant():
     m = small_model(9)
     imgs = rand_images(6, seed=9)
-    before = predict_classes(m, imgs)
+    before = logits_array(m, imgs).argmax(axis=1)
     bias = m.params[f"b{m.num_layers - 1}"]
     bias.data = bias.data + 3.7
-    assert np.array_equal(predict_classes(m, imgs), before)
+    assert accuracy(logits_array(m, imgs), before) == 1.0
+
+
+@pytest.mark.parametrize("fname", ["texture", "rotation", "contrast"])
+def test_family_logits_slices_are_per_member_forwards(fname):
+    m = init([256, 12, 10], seed=4)
+    imgs = rand_images(7, side=16, seed=4)
+    family = family_by_name(fname, image_size=16)
+    cube = family_logits(m, imgs, family)
+    assert cube.shape == (len(family), 7, 10)
+    for j, member in enumerate(family):
+        assert np.array_equal(cube[j], logits_array(m, apply_batch(member, imgs)))
+    # member 0 is the identity, so slice 0 is the plain forward pass
+    assert np.array_equal(cube[0], logits_array(m, imgs))
 
 
 def test_weight_round_trip(tmp_path):

@@ -242,7 +242,7 @@ def test_param_set_ordering_and_uniqueness():
     ps = ParamSet()
     ps.add("w1", Tensor(np.ones(2)))
     ps.add("b1", Tensor(np.zeros(2)))
-    assert ps.names() == ["w1", "b1"]
+    assert [name for name, _ in ps.items()] == ["w1", "b1"]
     with pytest.raises(ValueError):
         ps.add("w1", Tensor(np.ones(1)))
     for t in ps.tensors():

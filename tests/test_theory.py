@@ -9,7 +9,8 @@ from scipy.special import logsumexp
 
 from arlab.datasets import LabeledImages, gen_minidigits
 from arlab.evaluation import accuracy, robust_accuracy
-from arlab.model import Classifier, init, logits_array, predict_classes
+from arlab.errors import DegenerateInputError
+from arlab.model import Classifier, family_logits, init, logits_array
 from arlab.tensor import softmax_array
 from arlab.theory import (
     WITNESS_CAP,
@@ -50,6 +51,16 @@ def row_data(rows, labels, k: int) -> LabeledImages:
     return LabeledImages(images, np.asarray(labels, dtype=np.int64), k)
 
 
+def cube_of(model, data, family):
+    return family_logits(model, data.images, family)
+
+
+def self_bounds(model, data, family, mode):
+    """Bound terms with the training set doubling as the evaluation set."""
+    cube = cube_of(model, data, family)
+    return bound_terms(cube, data.labels, cube, data.labels, family, mode)
+
+
 IDENTITY_PAIR = TransformFamily("idpair", (Identity(), PixelMap(1.0, False)), 0, 1)
 NEGATE_PAIR = TransformFamily("negpair", (Identity(), PixelMap(1.0, True)), 0, 1)
 
@@ -81,7 +92,8 @@ class TestEfficiency:
         # distinct one-hot rows stay distinct, and every transformed copy
         # coincides with its own representation
         data = row_data(np.eye(4), [0, 1, 2, 3], 4)
-        rep = check_efficiency(passthrough_model(4), data, IDENTITY_PAIR)
+        rep = check_efficiency(cube_of(passthrough_model(4), data, IDENTITY_PAIR),
+                               IDENTITY_PAIR)
         assert rep.fraction == 1.0
         assert rep.witnesses == []
         assert set(rep.detail["per_transform"]) == {"identity", "pix:1:0"}
@@ -91,7 +103,7 @@ class TestEfficiency:
         # (0.5, 0): distance zero to a foreign sample, 2.5 to its own
         data = row_data([[1.0, 0.0], [0.5, 0.0]], [0, 0], 2)
         family = TransformFamily("halve", (Identity(), PixelMap(0.5, False)), 0, 1)
-        rep = check_efficiency(passthrough_model(2), data, family)
+        rep = check_efficiency(cube_of(passthrough_model(2), data, family), family)
         assert rep.fraction == pytest.approx(0.75)
         assert rep.witnesses == [{"transform": "pix:0.5:0", "sample": 0}]
         assert rep.detail["per_transform"]["identity"] == 1.0
@@ -101,7 +113,7 @@ class TestEfficiency:
         data = gen_minidigits(12, seed=5)
         model = init([256, 16, 10], seed=7)
         family = family_rotation()
-        rep = check_efficiency(model, data, family)
+        rep = check_efficiency(cube_of(model, data, family), family)
 
         z = logits_array(model, data.images)
         hits = total = 0
@@ -128,7 +140,7 @@ class TestEfficiency:
             t.data[:] = 0.0
         rng = np.random.default_rng(0)
         data = LabeledImages(rng.uniform(size=(30, 2, 2)), np.zeros(30, dtype=np.int64), 2)
-        rep = check_efficiency(model, data, IDENTITY_PAIR)
+        rep = check_efficiency(cube_of(model, data, IDENTITY_PAIR), IDENTITY_PAIR)
         # all distances are zero, so ties satisfy the condition everywhere
         assert rep.fraction == 1.0
 
@@ -137,7 +149,7 @@ class TestMatchingIdentity:
     def test_agreement_under_full_efficiency(self):
         data = row_data(np.eye(4), [0, 1, 2, 3], 4)
         family = TransformFamily("shrink", (Identity(), PixelMap(0.9, False)), 0, 1)
-        entries = check_prop_a2(passthrough_model(4), data, family)
+        entries = check_prop_a2(cube_of(passthrough_model(4), data, family), family)
         by_name = {e.transform: e for e in entries}
         shrunk = by_name["pix:0.9:0"]
         assert shrunk.efficiency_fraction == 1.0
@@ -151,7 +163,7 @@ class TestMatchingIdentity:
         # optimal matching crosses and costs nothing while the identity
         # pairing pays the full separation twice
         data = row_data([[0.8, 0.2], [0.2, 0.8]], [0, 1], 2)
-        entries = check_prop_a2(passthrough_model(2), data, NEGATE_PAIR)
+        entries = check_prop_a2(cube_of(passthrough_model(2), data, NEGATE_PAIR), NEGATE_PAIR)
         neg = {e.transform: e for e in entries}["pix:1:1"]
         assert neg.w1 == pytest.approx(0.0, abs=1e-12)
         assert neg.l1_sum == pytest.approx(2 * 2 * 5.0 * 0.6)
@@ -162,7 +174,7 @@ class TestMatchingIdentity:
     def test_gap_is_never_negative(self):
         data = gen_minidigits(10, seed=3)
         model = init([256, 12, 10], seed=11)
-        for e in check_prop_a2(model, data, family_rotation()):
+        for e in check_prop_a2(cube_of(model, data, family_rotation()), family_rotation()):
             assert e.gap >= -1e-9
             assert e.w1 <= e.l1_sum + 1e-9
 
@@ -171,7 +183,7 @@ class TestVertices:
     def test_two_member_family_trivially_attains(self):
         data = gen_minidigits(8, seed=0)
         model = init([256, 8, 10], seed=1)
-        rep = check_vertices(model, data, IDENTITY_PAIR)
+        rep = check_vertices(cube_of(model, data, IDENTITY_PAIR), IDENTITY_PAIR)
         assert rep.fraction == 1.0
         assert rep.witnesses == []
         matrix = np.asarray(rep.pairwise_matrix)
@@ -180,7 +192,7 @@ class TestVertices:
     def test_matrix_is_symmetric_with_zero_diagonal(self):
         data = gen_minidigits(8, seed=2)
         model = init([256, 8, 10], seed=3)
-        rep = check_vertices(model, data, family_rotation())
+        rep = check_vertices(cube_of(model, data, family_rotation()), family_rotation())
         matrix = np.asarray(rep.pairwise_matrix)
         assert matrix.shape == (5, 5)
         assert np.allclose(matrix, matrix.T)
@@ -190,7 +202,7 @@ class TestVertices:
         data = gen_minidigits(8, seed=4)
         model = init([256, 8, 10], seed=5)
         family = family_rotation()
-        rep = check_vertices(model, data, family)
+        rep = check_vertices(cube_of(model, data, family), family)
         sets = [logits_array(model, apply_batch(t, data.images))
                 for t in family.members]
         best_pair, best = None, -1.0
@@ -209,7 +221,7 @@ class TestVertices:
         model = init([256, 8, 10], seed=0)
         singleton = TransformFamily("only-id", (Identity(),), 0, 0)
         with pytest.raises(ValueError, match="two"):
-            check_vertices(model, data, singleton)
+            check_vertices(cube_of(model, data, singleton), singleton)
 
 
 class TestConfidenceLink:
@@ -217,7 +229,7 @@ class TestConfidenceLink:
         # under negation the prediction always flips; the confidence ratio
         # for this passthrough model is exp of the original logit gap
         data = row_data([[0.28, 0.12], [0.9, 0.1], [0.3, 0.1]], [0, 0, 0], 2)
-        rep = check_a6(passthrough_model(2), data, NEGATE_PAIR)
+        rep = check_a6(cube_of(passthrough_model(2), data, NEGATE_PAIR), data.labels)
         # gaps: e^0.8 < e (fails), e^4 >= e, e^1 >= e
         assert rep.detail["conf_drop_fraction"] == pytest.approx(2 / 3)
         # worst true logits: 1.4, 0.5, 1.5 -> magnitude >= 1 except middle
@@ -231,17 +243,17 @@ class TestConfidenceLink:
         # zero and the ratio bound degrades to >= 1, which always holds
         data = row_data([[0.9, 0.1], [0.2, 0.7]], [0, 1], 2)
         family = TransformFamily("shrink", (Identity(), PixelMap(0.9, False)), 0, 1)
-        rep = check_a6(passthrough_model(2), data, family)
+        rep = check_a6(cube_of(passthrough_model(2), data, family), data.labels)
         assert rep.detail["conf_drop_fraction"] == 1.0
 
     def test_fractions_match_loop_recomputation(self):
         data = gen_minidigits(10, seed=9)
         model = init([256, 12, 10], seed=13)
         family = family_rotation()
-        rep = check_a6(model, data, family)
+        rep = check_a6(cube_of(model, data, family), data.labels)
 
         drop_hits = mag_hits = both = 0
-        pred_orig = predict_classes(model, data.images)
+        pred_orig = logits_array(model, data.images).argmax(axis=1)
         conf_orig = softmax_array(logits_array(model, data.images))
         for i in range(len(data)):
             y = data.labels[i]
@@ -271,7 +283,7 @@ class TestConfidenceLink:
             t.data = t.data * 40.0
         data = gen_minidigits(50, seed=0)
         family = family_rotation()
-        rep = check_a6(model, data, family)
+        rep = check_a6(cube_of(model, data, family), data.labels)
 
         z = np.stack([logits_array(model, apply_batch(t, data.images)) for t in family])
         idx = np.arange(len(data))
@@ -290,7 +302,7 @@ class TestBoundTerms:
         data = row_data(np.eye(4), [0, 1, 2, 3], 4)
         model = passthrough_model(4)
         for mode in ("worst-case", "vertex"):
-            rep = bound_terms(model, data, data, IDENTITY_PAIR, mode)
+            rep = self_bounds(model, data, IDENTITY_PAIR, mode)
             assert rep.robust_error == 0.0
             assert rep.empirical_risk == 0.0
             assert rep.vertex_risk_average == 0.0
@@ -302,9 +314,9 @@ class TestBoundTerms:
         data = gen_minidigits(10, seed=1)
         model = init([256, 12, 10], seed=2)
         family = family_rotation()
-        rep = bound_terms(model, data, data, family, "worst-case")
+        rep = self_bounds(model, data, family, "worst-case")
 
-        picks = select_worst(model, data.images, data.labels, family)
+        picks = select_worst(cube_of(model, data, family), data.labels)
         total = 0.0
         for i in range(len(data)):
             xi = data.images[i][None]
@@ -318,7 +330,7 @@ class TestBoundTerms:
         data = gen_minidigits(10, seed=6)
         model = init([256, 12, 10], seed=8)
         family = family_rotation()
-        rep = bound_terms(model, data, data, family, "vertex")
+        rep = self_bounds(model, data, family, "vertex")
 
         plus = family.members[family.vertex_plus]
         minus = family.members[family.vertex_minus]
@@ -326,26 +338,43 @@ class TestBoundTerms:
         v = logits_array(model, apply_batch(minus, data.images))
         assert rep.alignment_sum == pytest.approx(np.abs(u - v).sum())
         assert rep.robust_error == pytest.approx(
-            1.0 - robust_accuracy(model, data, family))
-        assert rep.empirical_risk == pytest.approx(1.0 - accuracy(model, data))
+            1.0 - robust_accuracy(cube_of(model, data, family), data.labels))
+        assert rep.empirical_risk == pytest.approx(
+            1.0 - accuracy(logits_array(model, data.images), data.labels))
 
     def test_vertex_risk_average_matches_loops(self):
         data = gen_minidigits(10, seed=4)
         model = init([256, 12, 10], seed=9)
         family = family_rotation()
-        rep = bound_terms(model, data, data, family, "vertex")
+        rep = self_bounds(model, data, family, "vertex")
         errs = []
         for idx in (family.vertex_plus, family.vertex_minus):
             moved = apply_batch(family.members[idx], data.images)
-            preds = predict_classes(model, moved)
+            preds = logits_array(model, moved).argmax(axis=1)
             errs.append(float(np.mean(preds != data.labels)))
         assert rep.vertex_risk_average == pytest.approx(0.5 * (errs[0] + errs[1]))
+
+    def test_held_out_cube_feeds_only_the_robust_error(self):
+        train_data = gen_minidigits(12, seed=2)
+        held_out = gen_minidigits(9, seed=3)
+        model = init([256, 12, 10], seed=5)
+        family = family_rotation()
+        train_cube = cube_of(model, train_data, family)
+        eval_cube = cube_of(model, held_out, family)
+        for mode in ("worst-case", "vertex"):
+            rep = bound_terms(train_cube, train_data.labels, eval_cube, held_out.labels,
+                              family, mode)
+            same = self_bounds(model, train_data, family, mode)
+            assert rep.robust_error == 1.0 - robust_accuracy(eval_cube, held_out.labels)
+            assert rep.empirical_risk == same.empirical_risk
+            assert rep.vertex_risk_average == same.vertex_risk_average
+            assert rep.alignment_sum == same.alignment_sum
 
     def test_invalid_mode_rejected(self):
         data = gen_minidigits(4, seed=0)
         model = init([256, 8, 10], seed=0)
         with pytest.raises(ValueError, match="mode"):
-            bound_terms(model, data, data, family_rotation(), "both")
+            self_bounds(model, data, family_rotation(), "both")
 
     def test_negative_terms_rejected(self):
         with pytest.raises(ValueError):
@@ -364,3 +393,15 @@ class TestRunAll:
         assert set(tree["bounds"]) == {"worst-case", "vertex"}
         round_trip = json.loads(json.dumps(tree))
         assert round_trip["A2"]["fraction"] == tree["A2"]["fraction"]
+
+    def test_transforms_each_member_once(self, apply_batch_calls):
+        # one logit cube serves every checker and both bound modes
+        data = gen_minidigits(8, seed=10)
+        family = family_rotation()
+        run_all_checks(init([256, 8, 10], seed=10), data, family)
+        assert apply_batch_calls == list(family)
+
+    def test_empty_data_is_degenerate(self):
+        empty = LabeledImages(np.zeros((0, 16, 16)), np.zeros(0, dtype=np.int64), 10)
+        with pytest.raises(DegenerateInputError, match="at least one sample"):
+            run_all_checks(init([256, 8, 10], seed=0), empty, family_rotation())

@@ -4,7 +4,7 @@ import pytest
 from arlab.datasets import gen_minidigits, one_hot
 from arlab.errors import ConfigError, DivergenceError
 from arlab.evaluation import accuracy
-from arlab.model import init, logits_array
+from arlab.model import family_logits, init, logits_array
 from arlab.tensor import Tensor, softmax_array, softmax_cross_entropy
 from arlab.training import (
     DEFAULT_SEEDS,
@@ -49,7 +49,7 @@ def per_sample_ce(model, image, label, k=10):
 def test_select_worst_singleton_family():
     data = small_data(8)
     m = init([256, 8, 10], seed=0)
-    picks = select_worst(m, data.images, data.labels, singleton_family())
+    picks = select_worst(family_logits(m, data.images, singleton_family()), data.labels)
     assert np.array_equal(picks, np.zeros(8, dtype=int))
 
 
@@ -58,7 +58,7 @@ def test_select_worst_constant_model_breaks_ties_low():
     m = init([256, 8, 10], seed=0)
     for t in m.params.tensors():
         t.data = np.zeros_like(t.data)
-    picks = select_worst(m, data.images, data.labels, family_rotation())
+    picks = select_worst(family_logits(m, data.images, family_rotation()), data.labels)
     assert np.array_equal(picks, np.zeros(8, dtype=int))
 
 
@@ -66,7 +66,7 @@ def test_select_worst_constant_model_breaks_ties_low():
 def test_select_worst_matches_exhaustive_ce_argmax(family):
     data = small_data(8, seed=1)
     m = init([256, 12, 10], seed=2)
-    picks = select_worst(m, data.images, data.labels, family)
+    picks = select_worst(family_logits(m, data.images, family), data.labels)
     for i in range(8):
         ces = [per_sample_ce(m, apply_batch(t, data.images[i:i + 1])[0], data.labels[i])
                for t in family]
@@ -112,7 +112,7 @@ def test_step_loss_aligned_worst_independent_recomputation():
     plan = plan_for("aligned-worst", lam=lam, align_kind="sql2")
     loss = step_loss(plan, m, (data.images, data.labels))
 
-    picks = select_worst(m, data.images, data.labels, plan.family)
+    picks = select_worst(family_logits(m, data.images, plan.family), data.labels)
     worst = np.concatenate([apply_batch(plan.family.members[j], data.images[i:i + 1])
                             for i, j in enumerate(picks)])
     y = one_hot(data.labels, 10)
@@ -175,7 +175,7 @@ def test_train_baseline_fits_minidigits():
     data = gen_minidigits(500, seed=0)
     plan = plan_for("baseline", epochs=20, batch_size=64, hidden=(64,))
     hist = train(plan, data)
-    assert accuracy(hist.model, data) > 0.9
+    assert accuracy(logits_array(hist.model, data.images), data.labels) > 0.9
 
 
 def test_train_zero_lambda_trajectories_identical():
