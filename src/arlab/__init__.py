@@ -62,7 +62,7 @@ from .transforms import (
     family_rotation,
     family_texture,
 )
-from .wasserstein import w1_exact, w1_matching
+from .wasserstein import w1_exact, w1_matching, w1_matrix
 
 __version__ = "0.1.0"
 
@@ -120,4 +120,5 @@ __all__ = [
     "train",
     "w1_exact",
     "w1_matching",
+    "w1_matrix",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -96,18 +97,28 @@ def _fail(field: str, why: str):
     raise ConfigError(f"{field}: {why}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A JSON integer or a finite float; JSON parsing admits NaN and Infinity."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
 def _check_dataset(spec, field: str) -> dict:
     if not isinstance(spec, dict) or "kind" not in spec:
         _fail(field, "must be an object with a 'kind' key")
     if spec["kind"] == "minidigits":
         n = spec.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             _fail(f"{field}.n", "must be a positive integer")
         seed = spec.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             _fail(f"{field}.seed", "must be a nonnegative integer")
         size = spec.get("size", 16)
-        if not isinstance(size, int) or size < 8:
+        if not _is_int(size) or size < 8:
             _fail(f"{field}.size", "must be an integer >= 8")
         return {"kind": "minidigits", "n": n, "seed": seed, "size": size}
     if spec["kind"] == "idx":
@@ -127,8 +138,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
                     if "eval_dataset" in doc else None)
 
     model = doc.get("model", {})
-    hidden = tuple(model.get("hidden", (64,)))
-    if not hidden or any(not isinstance(w, int) or w < 1 for w in hidden):
+    if not isinstance(model, dict):
+        _fail("model", "must be an object")
+    hidden = model.get("hidden", [64])
+    if not isinstance(hidden, list) or not hidden or any(
+            not _is_int(w) or w < 1 for w in hidden):
         _fail("model.hidden", "must be a nonempty list of positive integers")
 
     family = doc.get("family")
@@ -151,30 +165,36 @@ def parse_config(doc: dict) -> ExperimentConfig:
         grid = [float(x) for x in default_lambda_grid()]
     if not isinstance(grid, list) or not grid:
         _fail("lambda_grid", "must be a nonempty list")
-    if any(not isinstance(x, (int, float)) or x <= 0 for x in grid):
+    if any(not _is_number(x) or x <= 0 for x in grid):
         _fail("lambda_grid", "values must be positive numbers")
 
     seeds = doc.get("seeds", list(DEFAULT_SEEDS))
     if not isinstance(seeds, list) or not seeds or any(
-            not isinstance(s, int) or s < 0 for s in seeds):
+            not _is_int(s) or s < 0 for s in seeds):
         _fail("seeds", "must be a nonempty list of nonnegative integers")
 
     epochs = doc.get("epochs", 10)
-    if not isinstance(epochs, int) or epochs < 1:
+    if not _is_int(epochs) or epochs < 1:
         _fail("epochs", "must be a positive integer")
 
     lr_doc = doc.get("lr", {})
+    if not isinstance(lr_doc, dict):
+        _fail("lr", "must be an object")
+    lr_fields = {"initial": 0.1, "decay_factor": 1.0, "decay_every": 1}
+    lr_fields.update(lr_doc)
+    for key in ("initial", "decay_factor"):
+        if not _is_number(lr_fields[key]):
+            _fail(f"lr.{key}", "must be a number")
+    if not _is_int(lr_fields["decay_every"]):
+        _fail("lr.decay_every", "must be an integer")
     try:
-        lr = LrSchedule(
-            initial=float(lr_doc.get("initial", 0.1)),
-            decay_factor=float(lr_doc.get("decay_factor", 1.0)),
-            decay_every=int(lr_doc.get("decay_every", 1)),
-        )
-    except (ConfigError, TypeError, ValueError) as exc:
+        lr = LrSchedule(float(lr_fields["initial"]), float(lr_fields["decay_factor"]),
+                        lr_fields["decay_every"])
+    except ConfigError as exc:
         _fail("lr", str(exc))
 
     batch_size = doc.get("batch_size", 128)
-    if not isinstance(batch_size, int) or batch_size < 1:
+    if not _is_int(batch_size) or batch_size < 1:
         _fail("batch_size", "must be a positive integer")
 
     output_dir = doc.get("output_dir")
@@ -182,7 +202,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _fail("output_dir", "must be a nonempty path string")
 
     return ExperimentConfig(
-        dataset=dataset, eval_dataset=eval_dataset, hidden=hidden,
+        dataset=dataset, eval_dataset=eval_dataset, hidden=tuple(hidden),
         family=family, methods=tuple(methods),
         lambda_grid=tuple(float(x) for x in grid), seeds=tuple(seeds),
         epochs=epochs, lr=lr, batch_size=batch_size, output_dir=output_dir,
@@ -204,8 +224,12 @@ def _eval_spec(config: ExperimentConfig) -> dict:
     return config.dataset
 
 
-def _check_num_classes(data: LabeledImages, num_classes: int, source: str) -> None:
-    """Data scored against a model must carry exactly the model's classes."""
+def _check_fits(data: LabeledImages, width: int, num_classes: int, source: str) -> None:
+    """Data scored against a model must match its input width and its classes."""
+    data_width = int(np.prod(data.images.shape[1:]))
+    if data_width != width:
+        raise ConfigError(
+            f"data: images of flattened width {data_width}, but {source} has {width}")
     if data.num_classes != num_classes:
         raise ConfigError(
             f"data: {data.num_classes} classes, but {source} has {num_classes}")
@@ -340,8 +364,9 @@ def cmd_train(config_path: str, parallel: int = 1,
     eval_spec = _eval_spec(config)
     hold_out = data if eval_spec == config.dataset else _load_dataset(eval_spec)
     # a held-out split no cell could be scored on is the run's fault, not a
-    # cell's; every model is as wide as the train split's class count
-    _check_num_classes(hold_out, data.num_classes, "the train split")
+    # cell's; every model takes the train split's images and classes
+    _check_fits(hold_out, int(np.prod(data.images.shape[1:])), data.num_classes,
+                "the train split")
     check_class_sizes(hold_out.labels, hold_out.num_classes)
 
     out = resolve_output_dir(config.output_dir)
@@ -420,7 +445,7 @@ def cmd_eval(weights_path: str, data_spec: str, family_name: str,
              seed: int = 0, json_path: Optional[str] = None) -> dict:
     model = load_weights(weights_path)
     data = _parse_data_arg(data_spec)
-    _check_num_classes(data, model.num_classes, "the model")
+    _check_fits(data, model.input_width, model.num_classes, "the model")
     family = family_by_name(family_name, data.images.shape[1])
     report = evaluate(model, data, family, seed)
     # the digest, unlike the path, does not depend on where the run lives
@@ -443,7 +468,7 @@ def cmd_theory(weights_path: str, data_spec: str, family_name: str,
                json_path: Optional[str] = None) -> dict:
     model = load_weights(weights_path)
     data = _parse_data_arg(data_spec)
-    _check_num_classes(data, model.num_classes, "the model")
+    _check_fits(data, model.input_width, model.num_classes, "the model")
     family = family_by_name(family_name, data.images.shape[1])
     doc = run_all_checks(model, data, family)
     for key in ("A2", "A3", "A6"):

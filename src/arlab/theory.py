@@ -11,8 +11,13 @@ bounds.  The capacity term phi shared by both bounds is never evaluated.
 
 Every checker reads one (t, n, k) logit cube, the logits of each of n
 samples under each of the family's t members (``model.family_logits``);
-member 0 is the identity, so slice 0 holds the plain logits.
-``run_all_checks`` builds the cube once per (model, data, family).
+member 0 is the identity, so slice 0 holds the plain logits.  The vertex
+check and the matching identity also read one (t, t) matrix of exact W1
+distances between members (``wasserstein.w1_matrix``), which solves each
+unordered pair once: ``check_vertices(w1, family)`` takes its extremes
+from it and ``check_prop_a2(cube, w1, family, tol)`` its W1 side from
+row 0.  ``run_all_checks`` builds the cube and the matrix once per
+(model, data, family).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .model import Classifier, family_logits
 from .tensor import _log_softmax
 from .training import select_worst
 from .transforms import TransformFamily
-from .wasserstein import pairwise_l1, w1_exact
+from .wasserstein import pairwise_l1, w1_matrix
 
 WITNESS_CAP = 10
 PHI_NOTE = "capacity term phi(|Theta|, n, delta) omitted; not computable here"
@@ -100,10 +105,11 @@ class PropA2Entry:
     holds: bool
 
 
-def check_prop_a2(cube: np.ndarray, family: TransformFamily,
+def check_prop_a2(cube: np.ndarray, w1: np.ndarray, family: TransformFamily,
                   tol: float = 1e-9) -> list:
     """Compare exact W1 against the per-pair L1 sum for every member.
 
+    The W1 side of member j is ``w1[0, j]``, its distance to the identity.
     Whenever the efficiency condition holds for every sample under a
     member, the identity pairing is optimal and the two sides must agree;
     that consistency is asserted, since the matching itself guarantees it.
@@ -112,8 +118,7 @@ def check_prop_a2(cube: np.ndarray, family: TransformFamily,
     """
     z = cube[0]
     entries = []
-    for t, za in zip(family, cube):
-        lhs = w1_exact(z, za)
+    for t, za, lhs in zip(family, cube, w1[0].tolist()):
         rhs = float(np.abs(z - za).sum())
         gap = rhs - lhs
         frac = float(_efficient(z, za).mean())
@@ -125,20 +130,15 @@ def check_prop_a2(cube: np.ndarray, family: TransformFamily,
     return entries
 
 
-def check_vertices(cube: np.ndarray, family: TransformFamily) -> AssumptionReport:
+def check_vertices(w1: np.ndarray, family: TransformFamily) -> AssumptionReport:
     """Does the designated vertex pair attain the largest pairwise W1 gap?"""
     if len(family) < 2:
         raise ValueError("vertex check needs at least two family members")
-    t = len(family)
-    matrix = np.zeros((t, t))
-    for i in range(t):
-        for j in range(i + 1, t):
-            matrix[i, j] = matrix[j, i] = w1_exact(cube[i], cube[j])
-    best = float(matrix.max())
-    arg = np.unravel_index(int(matrix.argmax()), matrix.shape)
+    best = float(w1.max())
+    arg = np.unravel_index(int(w1.argmax()), w1.shape)
     argmax_pair = sorted(int(x) for x in arg)
     designated = sorted((family.vertex_plus, family.vertex_minus))
-    designated_value = float(matrix[designated[0], designated[1]])
+    designated_value = float(w1[designated[0], designated[1]])
     attained = designated_value >= best - 1e-9
     detail = {
         "designated_pair": designated,
@@ -148,7 +148,7 @@ def check_vertices(cube: np.ndarray, family: TransformFamily) -> AssumptionRepor
     }
     witnesses = [] if attained else [{"argmax_pair": argmax_pair, "w1": best}]
     return AssumptionReport("A3", 1.0 if attained else 0.0, witnesses,
-                            detail=detail, pairwise_matrix=matrix.tolist())
+                            detail=detail, pairwise_matrix=w1.tolist())
 
 
 def check_a6(cube: np.ndarray, labels: np.ndarray) -> AssumptionReport:
@@ -251,15 +251,16 @@ def run_all_checks(model: Classifier, data: LabeledImages,
     if len(data) == 0:
         raise DegenerateInputError("the theory checks need at least one sample")
     cube = family_logits(model, data.images, family)
+    w1 = w1_matrix(cube)
     labels = data.labels
     return {
         "family": family.family_name,
         "samples": len(data),
         "A2": check_efficiency(cube, family).to_json(),
-        "A3": check_vertices(cube, family).to_json(),
+        "A3": check_vertices(w1, family).to_json(),
         "A5": {"assumption": "A5", "note": A5_NOTE},
         "A6": check_a6(cube, labels).to_json(),
-        "matching_identity": [asdict(e) for e in check_prop_a2(cube, family)],
+        "matching_identity": [asdict(e) for e in check_prop_a2(cube, w1, family)],
         "bounds": {mode: bound_terms(cube, labels, cube, labels, family, mode).to_json()
                    for mode in ("worst-case", "vertex")},
     }

@@ -4,6 +4,8 @@ Under an L1 ground cost and uniform weights the distance reduces to a
 minimum-cost perfect matching, solved exactly with the Hungarian method.
 """
 
+import itertools
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
@@ -49,6 +51,20 @@ def w1_exact(u: np.ndarray, v: np.ndarray) -> float:
         raise ShapeError("w1_exact: empty point sets")
     _, total = min_cost_matching(pairwise_l1(u, v))
     return total
+
+
+def w1_matrix(sets) -> np.ndarray:
+    """Symmetric (t, t) matrix of ``w1_exact(sets[i], sets[j])``.
+
+    Each unordered pair is solved once, as ``w1_exact(sets[i], sets[j])``
+    with i < j.  The diagonal stays zero, which is exactly what a set
+    matched against itself costs.
+    """
+    t = len(sets)
+    matrix = np.zeros((t, t))
+    for i, j in itertools.combinations(range(t), 2):
+        matrix[i, j] = matrix[j, i] = w1_exact(sets[i], sets[j])
+    return matrix
 
 
 def w1_matching(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:

@@ -158,7 +158,7 @@ def test_criterion_2_wasserstein_matches_brute_force():
 
 
 def test_criterion_3_matching_identity_and_strict_violation():
-    from arlab.wasserstein import w1_exact
+    from arlab.wasserstein import w1_exact, w1_matrix
 
     model = passthrough_model(4)
     # Well separated: each transformed row stays closest to its own source.
@@ -171,6 +171,8 @@ def test_criterion_3_matching_identity_and_strict_violation():
     assert report.fraction == 1.0, "fixture must verifiably satisfy efficiency"
     entries = check_prop_a2(
         np.stack([logits_array(model, apply_batch(a, efficient.images)) for a in shrink]),
+        w1_matrix(np.stack([logits_array(model, apply_batch(a, efficient.images))
+                            for a in shrink])),
         shrink)
     for entry in entries:
         assert entry.holds
@@ -191,7 +193,9 @@ def test_criterion_3_matching_identity_and_strict_violation():
                                       for a in negate]), negate).fraction < 1.0
     violating = [e for e in check_prop_a2(
                      np.stack([logits_array(model2, apply_batch(a, swapped.images))
-                               for a in negate]), negate)
+                               for a in negate]),
+                     w1_matrix(np.stack([logits_array(model2, apply_batch(a, swapped.images))
+                                         for a in negate])), negate)
                  if e.transform != "identity"]
     assert len(violating) == 1
     entry = violating[0]

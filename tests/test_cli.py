@@ -64,6 +64,20 @@ class TestParseConfig:
             ({"dataset": {"kind": "csv"}}, "dataset.kind"),
             ({"model": {"hidden": []}}, "model.hidden"),
             ({"output_dir": ""}, "output_dir"),
+            # wrong JSON types, booleans included, name their field
+            ({"lr": 5}, "lr"),
+            ({"lr": {"initial": True}}, "lr.initial"),
+            ({"lr": {"decay_every": 1.5}}, "lr.decay_every"),
+            ({"model": 5}, "model"),
+            ({"model": {"hidden": 5}}, "model.hidden"),
+            ({"model": {"hidden": [True]}}, "model.hidden"),
+            ({"epochs": True}, "epochs"),
+            ({"batch_size": True}, "batch_size"),
+            ({"seeds": [False]}, "seeds"),
+            ({"dataset": {"kind": "minidigits", "n": True}}, "dataset.n"),
+            ({"lambda_grid": [True]}, "lambda_grid"),
+            ({"lambda_grid": [float("nan")]}, "lambda_grid"),
+            ({"lr": {"initial": float("inf")}}, "lr.initial"),
         ]
         for overrides, field in bad:
             with pytest.raises(ConfigError, match=field):
@@ -223,6 +237,13 @@ class TestTrain:
         assert "9 classes, but the train split has 10" in capsys.readouterr().err
         assert not out.exists()
 
+        # 8x8 hold-out images do not fit models of the 16x16 train split
+        config_path, out = write_config(
+            tmp_path, eval_dataset={"kind": "minidigits", "n": 40, "seed": 1, "size": 8})
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "width 64, but the train split has 256" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_splits_are_built_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 
@@ -312,6 +333,13 @@ class TestEval:
                          "--data", "minidigits:40:0", "--family", "rotation"])
             assert code == 2
             assert "10 classes, but the model has 9" in capsys.readouterr().err
+
+        # 8x8 images flatten to 64 inputs, not the model's 256
+        for command in ("eval", "theory"):
+            code = main([command, "--weights", weights,
+                         "--data", "minidigits:40:0:8", "--family", "rotation"])
+            assert code == 2
+            assert "width 64, but the model has 256" in capsys.readouterr().err
 
     def test_json_is_independent_of_weights_location(self, trained_run, tmp_path):
         source = trained_run / "B_none_0" / "weights.bin"

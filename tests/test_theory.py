@@ -29,9 +29,10 @@ from arlab.transforms import (
     PixelMap,
     TransformFamily,
     apply_batch,
+    family_contrast,
     family_rotation,
 )
-from arlab.wasserstein import pairwise_l1, w1_exact
+from arlab.wasserstein import pairwise_l1, w1_exact, w1_matrix
 
 
 def passthrough_model(k: int) -> Classifier:
@@ -53,6 +54,16 @@ def row_data(rows, labels, k: int) -> LabeledImages:
 
 def cube_of(model, data, family):
     return family_logits(model, data.images, family)
+
+
+def prop_a2_of(model, data, family):
+    """The matching identity, its W1 side read off the cube's W1 matrix."""
+    cube = cube_of(model, data, family)
+    return check_prop_a2(cube, w1_matrix(cube), family)
+
+
+def vertices_of(model, data, family):
+    return check_vertices(w1_matrix(cube_of(model, data, family)), family)
 
 
 def self_bounds(model, data, family, mode):
@@ -149,7 +160,7 @@ class TestMatchingIdentity:
     def test_agreement_under_full_efficiency(self):
         data = row_data(np.eye(4), [0, 1, 2, 3], 4)
         family = TransformFamily("shrink", (Identity(), PixelMap(0.9, False)), 0, 1)
-        entries = check_prop_a2(cube_of(passthrough_model(4), data, family), family)
+        entries = prop_a2_of(passthrough_model(4), data, family)
         by_name = {e.transform: e for e in entries}
         shrunk = by_name["pix:0.9:0"]
         assert shrunk.efficiency_fraction == 1.0
@@ -163,7 +174,7 @@ class TestMatchingIdentity:
         # optimal matching crosses and costs nothing while the identity
         # pairing pays the full separation twice
         data = row_data([[0.8, 0.2], [0.2, 0.8]], [0, 1], 2)
-        entries = check_prop_a2(cube_of(passthrough_model(2), data, NEGATE_PAIR), NEGATE_PAIR)
+        entries = prop_a2_of(passthrough_model(2), data, NEGATE_PAIR)
         neg = {e.transform: e for e in entries}["pix:1:1"]
         assert neg.w1 == pytest.approx(0.0, abs=1e-12)
         assert neg.l1_sum == pytest.approx(2 * 2 * 5.0 * 0.6)
@@ -174,7 +185,7 @@ class TestMatchingIdentity:
     def test_gap_is_never_negative(self):
         data = gen_minidigits(10, seed=3)
         model = init([256, 12, 10], seed=11)
-        for e in check_prop_a2(cube_of(model, data, family_rotation()), family_rotation()):
+        for e in prop_a2_of(model, data, family_rotation()):
             assert e.gap >= -1e-9
             assert e.w1 <= e.l1_sum + 1e-9
 
@@ -183,7 +194,7 @@ class TestVertices:
     def test_two_member_family_trivially_attains(self):
         data = gen_minidigits(8, seed=0)
         model = init([256, 8, 10], seed=1)
-        rep = check_vertices(cube_of(model, data, IDENTITY_PAIR), IDENTITY_PAIR)
+        rep = vertices_of(model, data, IDENTITY_PAIR)
         assert rep.fraction == 1.0
         assert rep.witnesses == []
         matrix = np.asarray(rep.pairwise_matrix)
@@ -192,7 +203,7 @@ class TestVertices:
     def test_matrix_is_symmetric_with_zero_diagonal(self):
         data = gen_minidigits(8, seed=2)
         model = init([256, 8, 10], seed=3)
-        rep = check_vertices(cube_of(model, data, family_rotation()), family_rotation())
+        rep = vertices_of(model, data, family_rotation())
         matrix = np.asarray(rep.pairwise_matrix)
         assert matrix.shape == (5, 5)
         assert np.allclose(matrix, matrix.T)
@@ -202,7 +213,7 @@ class TestVertices:
         data = gen_minidigits(8, seed=4)
         model = init([256, 8, 10], seed=5)
         family = family_rotation()
-        rep = check_vertices(cube_of(model, data, family), family)
+        rep = vertices_of(model, data, family)
         sets = [logits_array(model, apply_batch(t, data.images))
                 for t in family.members]
         best_pair, best = None, -1.0
@@ -221,7 +232,7 @@ class TestVertices:
         model = init([256, 8, 10], seed=0)
         singleton = TransformFamily("only-id", (Identity(),), 0, 0)
         with pytest.raises(ValueError, match="two"):
-            check_vertices(cube_of(model, data, singleton), singleton)
+            vertices_of(model, data, singleton)
 
 
 class TestConfidenceLink:
@@ -394,12 +405,30 @@ class TestRunAll:
         round_trip = json.loads(json.dumps(tree))
         assert round_trip["A2"]["fraction"] == tree["A2"]["fraction"]
 
-    def test_transforms_each_member_once(self, apply_batch_calls):
+    def test_transforms_each_member_once(self, calls_to):
         # one logit cube serves every checker and both bound modes
         data = gen_minidigits(8, seed=10)
         family = family_rotation()
+        calls = calls_to("transforms.apply_batch")
         run_all_checks(init([256, 8, 10], seed=10), data, family)
-        assert apply_batch_calls == list(family)
+        assert [member for member, _ in calls] == list(family)
+
+    @pytest.mark.parametrize("family", [family_rotation(), family_contrast()],
+                             ids=lambda f: f.family_name)
+    def test_solves_each_member_pair_once(self, calls_to, family):
+        # one W1 matrix serves the vertex check and the matching identity
+        calls = calls_to("wasserstein.w1_exact")
+        run_all_checks(init([256, 8, 10], seed=10), gen_minidigits(8, seed=10), family)
+        t = len(family)
+        assert len(calls) == t * (t - 1) // 2
+
+    def test_matching_identity_reads_the_vertex_matrix(self):
+        family = family_rotation()
+        tree = run_all_checks(init([256, 8, 10], seed=4), gen_minidigits(12, seed=3),
+                              family)
+        row = tree["A3"]["pairwise_matrix"][0]
+        assert [e["w1"] for e in tree["matching_identity"]] == row
+        assert row[0] == 0.0
 
     def test_empty_data_is_degenerate(self):
         empty = LabeledImages(np.zeros((0, 16, 16)), np.zeros(0, dtype=np.int64), 10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arlab.errors import ShapeError
-from arlab.wasserstein import min_cost_matching, pairwise_l1, w1_exact, w1_matching
+from arlab.wasserstein import min_cost_matching, pairwise_l1, w1_exact, w1_matching, w1_matrix
 
 
 def brute_force_w1(u, v):
@@ -84,6 +84,16 @@ def test_translation_shifts_distance_linearly():
     u = rng.normal(size=(5, 3))
     delta = np.array([1.0, -0.5, 2.0])
     assert w1_exact(u, u + delta) == pytest.approx(5 * np.abs(delta).sum(), rel=1e-9)
+
+
+def test_w1_matrix_holds_every_pairwise_distance():
+    sets = np.random.default_rng(7).normal(size=(4, 6, 3))
+    matrix = w1_matrix(sets)
+    assert matrix.shape == (4, 4)
+    for i, j in itertools.product(range(4), repeat=2):
+        # bit-equal to the solve in the pair's upper-triangle order, and the
+        # zero diagonal is what a set matched with itself costs
+        assert matrix[i, j] == w1_exact(sets[min(i, j)], sets[max(i, j)])
 
 
 def test_min_cost_matching_prefers_cheap_diagonal():
