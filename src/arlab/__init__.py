@@ -3,7 +3,9 @@
 A small numpy/scipy stack for studying how aligning the representations
 of augmented sample pairs affects robustness to distribution shift:
 
-- reverse-mode autodiff on numpy arrays (:mod:`arlab.tensor`)
+- reverse-mode autodiff on numpy arrays, where the forward pass and each
+  penalty are one node with a closed-form backward rule
+  (:mod:`arlab.tensor`)
 - MLP classifiers with portable binary weights (:mod:`arlab.model`)
 - image corpora: IDX files and a synthetic digit generator
   (:mod:`arlab.datasets`)

@@ -367,6 +367,12 @@ def cmd_train(config_path: str, parallel: int = 1,
     # cell's; every model takes the train split's images and classes
     _check_fits(hold_out, int(np.prod(data.images.shape[1:])), data.num_classes,
                 "the train split")
+    # a weight file stores only the input width, but a run knows the
+    # train split's layout, which the family and every model assume
+    if hold_out.images.shape[1:] != data.images.shape[1:]:
+        raise ConfigError(
+            "data: images of shape {}x{}, but the train split has {}x{}".format(
+                *hold_out.images.shape[1:], *data.images.shape[1:]))
     check_class_sizes(hold_out.labels, hold_out.num_classes)
 
     out = resolve_output_dir(config.output_dir)

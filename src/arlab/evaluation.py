@@ -83,8 +83,8 @@ def invariance_per_class(cube: np.ndarray, labels: np.ndarray,
         dists = np.abs(query[:, None, :] - pool[None, :, :]).sum(axis=2)
         # stable sort resolves distance ties toward the lower pool index
         nearest = np.argsort(dists, axis=1, kind="stable")[:, :t]
-        own = np.arange(m)[:, None] + m * np.arange(t)[None, :]
-        overlap = [np.intersect1d(nearest[s], own[s]).size for s in range(m)]
+        # pool index p holds sample p % m, so these are sample s's own copies
+        overlap = (nearest % m == np.arange(m)[:, None]).sum(axis=1)
         scores[cls] = np.mean(overlap) / t
     return scores
 

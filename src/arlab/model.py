@@ -1,9 +1,15 @@
-"""Feed-forward classifier producing logits, with binary weight persistence."""
+"""Feed-forward classifier producing logits, with binary weight persistence.
+
+:func:`logits` is the differentiable forward pass: one graph node whose
+parents are the layer parameters and whose backward rule runs through
+every layer in closed form.  :func:`logits_array` is the same pass
+without a graph, for evaluation.
+"""
 
 from __future__ import annotations
 
 import struct
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,11 +28,9 @@ class Classifier:
     just before any softmax.
     """
 
-    def __init__(self, widths: Sequence[int], params: T.ParamSet,
-                 seed: Optional[int] = None):
+    def __init__(self, widths: Sequence[int], params: T.ParamSet):
         self.widths = tuple(int(w) for w in widths)
         self.params = params
-        self.seed = seed
 
     @property
     def num_layers(self) -> int:
@@ -57,7 +61,7 @@ def init(widths: Sequence[int], seed: int) -> Classifier:
         bound = np.sqrt(6.0 / fan_in)
         params.add(f"w{i}", T.Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
         params.add(f"b{i}", T.Tensor(np.zeros(fan_out)))
-    return Classifier(widths, params, seed)
+    return Classifier(widths, params)
 
 
 def _flatten(model: Classifier, images: np.ndarray) -> np.ndarray:
@@ -73,14 +77,33 @@ def _flatten(model: Classifier, images: np.ndarray) -> np.ndarray:
 
 
 def logits(model: Classifier, images: np.ndarray) -> T.Tensor:
-    """Differentiable forward pass to the logit layer."""
-    h = T.Tensor(_flatten(model, images))
+    """Differentiable forward pass to the logit layer, as one graph node.
+
+    The node's parents are the layer parameters.  Its backward rule runs
+    back through every layer in closed form: the affine map, then the ReLU
+    mask of the layer below.  Every pre-activation is checked for finite
+    values, so a diverging model fails even where ReLU would zero the
+    non-finite entries.
+    """
+    h = _flatten(model, images)
+    inputs, masks = [], []
     for i in range(model.num_layers):
         w, b = model.layer(i)
-        h = T.add_bias(T.matmul(h, w), b)
+        inputs.append(h)
+        h = h @ w.data + b.data
         if i < model.num_layers - 1:
-            h = T.relu(h)
-    return h
+            masks.append(T._as_array(h) > 0)
+            h = np.where(masks[-1], h, 0.0)
+
+    def rule(g):
+        for i in reversed(range(model.num_layers)):
+            w, b = model.layer(i)
+            b.grad = b.grad + g.sum(axis=0)
+            w.grad = w.grad + inputs[i].T @ g
+            if i > 0:
+                g = (g @ w.data.T) * masks[i - 1]
+
+    return T.Tensor(h, model.params.tensors(), rule)
 
 
 def logits_array(model: Classifier, images: np.ndarray) -> np.ndarray:
@@ -155,4 +178,4 @@ def load_weights(path) -> Classifier:
         params.add(f"b{i}", T.Tensor(b.copy()))
     if off != len(blob):
         raise FormatError(f"trailing bytes in weight file {path}")
-    return Classifier(widths, params, None)
+    return Classifier(widths, params)

@@ -1,9 +1,11 @@
 """Alignment penalties over paired batches of logits.
 
 Each penalty takes the logits of original samples (first argument) and of
-their augmented counterparts (second argument) and returns a scalar graph
-node; smaller always means better aligned.  The adversarial kind, ``disc``,
-carries a small auxiliary network of its own: a one-layer discriminator.
+their augmented counterparts (second argument) and returns one scalar graph
+node with a closed-form backward rule; smaller always means better aligned.
+The adversarial kind, ``disc``, carries a small auxiliary network of its
+own: a one-layer discriminator, which the penalty holds fixed and
+:func:`aux_update` trains.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from scipy.special import expit
 
 from . import tensor as T
 from .errors import DegenerateInputError, ShapeError
-from .tensor import _log_softmax
+from .tensor import _as_array, _log_softmax
 from .wasserstein import w1_matching
 
 ALIGN_KINDS = ("l1", "sql2", "cos", "kl", "w1-exact", "disc")
@@ -27,16 +29,15 @@ AUX_LR = 5e-4
 
 @dataclass
 class AuxParams:
-    """Adversarial auxiliary: an affine discriminator."""
+    """Adversarial auxiliary: an affine discriminator, as plain arrays.
+
+    It is trained by :func:`aux_update` alone, so it is no graph leaf.
+    """
 
     kind: str
-    w: T.Tensor
-    bias: T.Tensor
+    w: np.ndarray
+    bias: np.ndarray
     lr: float
-
-    def zero_grad(self) -> None:
-        self.w.zero_grad()
-        self.bias.zero_grad()
 
 
 def init_aux(kind: str, num_logits: int, seed: int, lr: float = AUX_LR) -> AuxParams:
@@ -44,8 +45,7 @@ def init_aux(kind: str, num_logits: int, seed: int, lr: float = AUX_LR) -> AuxPa
     if kind not in AUX_KINDS:
         raise ValueError(f"kind {kind!r} takes no auxiliary parameters")
     rng = np.random.default_rng(seed)
-    w = T.Tensor(rng.normal(0.0, 0.1, size=(num_logits, 1)))
-    return AuxParams(kind, w, T.Tensor(np.zeros(1)), lr)
+    return AuxParams(kind, rng.normal(0.0, 0.1, size=(num_logits, 1)), np.zeros(1), lr)
 
 
 def _check_pair(u: T.Tensor, v: T.Tensor) -> int:
@@ -54,6 +54,34 @@ def _check_pair(u: T.Tensor, v: T.Tensor) -> int:
     if u.shape[0] < 1:
         raise ValueError("penalty needs at least one row")
     return u.shape[0]
+
+
+def _l1_penalty(u: T.Tensor, v: T.Tensor, b: int, sigma: np.ndarray) -> T.Tensor:
+    # mean l1 distance from each row of u to row sigma[i] of v
+    c = 1.0 / b
+    d = u.data - v.data[sigma]
+    sign = np.sign(d)
+
+    def rule(g):
+        gd = g * c * sign
+        u.grad = u.grad + gd
+        back = np.zeros_like(v.data)
+        back[sigma] = gd
+        v.grad = v.grad - back
+
+    return T.Tensor(np.abs(d).sum() * c, (u, v), rule)
+
+
+def _sql2_penalty(u: T.Tensor, v: T.Tensor, b: int) -> T.Tensor:
+    c = 1.0 / b
+    d = u.data - v.data
+
+    def rule(g):
+        gd = 2.0 * (g * c * d)
+        u.grad = u.grad + gd
+        v.grad = v.grad - gd
+
+    return T.Tensor((d * d).sum() * c, (u, v), rule)
 
 
 def _cosine_penalty(u: T.Tensor, v: T.Tensor, b: int) -> T.Tensor:
@@ -87,6 +115,22 @@ def _kl_penalty(u: T.Tensor, v: T.Tensor, b: int) -> T.Tensor:
     return T.Tensor(val, (u, v), rule)
 
 
+def _disc_penalty(u: T.Tensor, v: T.Tensor, b: int, aux: AuxParams) -> T.Tensor:
+    # push augmented outputs to read as real and originals as fake, which
+    # meets in the middle once the two distributions agree
+    w = aux.w
+    d_u = _as_array(u.data @ w + aux.bias)
+    d_v = _as_array(v.data @ w + aux.bias)
+    val = np.logaddexp(0.0, -d_v).mean() + np.logaddexp(0.0, d_u).mean()
+
+    def rule(g):
+        gm = g * (1.0 / b)
+        u.grad = u.grad + (gm / (1.0 + np.exp(-d_u))) @ w.T
+        v.grad = v.grad - (gm / (1.0 + np.exp(d_v))) @ w.T
+
+    return T.Tensor(val, (u, v), rule)
+
+
 def penalty(kind: str, u: T.Tensor, v: T.Tensor,
             aux: Optional[AuxParams] = None) -> T.Tensor:
     """Scalar alignment penalty between original logits u and augmented v."""
@@ -94,10 +138,9 @@ def penalty(kind: str, u: T.Tensor, v: T.Tensor,
         raise ValueError(f"unknown alignment kind {kind!r}; choose from {ALIGN_KINDS}")
     b = _check_pair(u, v)
     if kind == "l1":
-        return T.scale(T.reduce_sum(T.absolute(T.sub(u, v))), 1.0 / b)
+        return _l1_penalty(u, v, b, np.arange(b))
     if kind == "sql2":
-        diff = T.sub(u, v)
-        return T.scale(T.reduce_sum(T.mul(diff, diff)), 1.0 / b)
+        return _sql2_penalty(u, v, b)
     if kind == "cos":
         return _cosine_penalty(u, v, b)
     if kind == "kl":
@@ -106,23 +149,17 @@ def penalty(kind: str, u: T.Tensor, v: T.Tensor,
         # the optimal pairing is held fixed; gradients flow through the
         # matched rows only
         sigma, _ = w1_matching(u.data, v.data)
-        matched = T.take_rows(v, sigma)
-        return T.scale(T.reduce_sum(T.absolute(T.sub(u, matched))), 1.0 / b)
+        return _l1_penalty(u, v, b, sigma)
     if aux is None or aux.kind != kind:
         raise ValueError(f"kind {kind!r} requires matching auxiliary parameters")
     if aux.w.shape[0] != u.shape[1]:
         raise ShapeError(f"auxiliary width {aux.w.shape[0]} != logit width {u.shape[1]}")
-    # disc: push augmented outputs to read as real and originals as fake,
-    # which meets in the middle once the two distributions agree
-    d_u = T.add_bias(T.matmul(u, aux.w), aux.bias)
-    d_v = T.add_bias(T.matmul(v, aux.w), aux.bias)
-    return T.add(T.reduce_mean(T.softplus(T.scale(d_v, -1.0))),
-                 T.reduce_mean(T.softplus(d_u)))
+    return _disc_penalty(u, v, b, aux)
 
 
 def discriminator_scores(z: np.ndarray, aux: AuxParams) -> np.ndarray:
     """Raw discriminator outputs for a batch of logit rows."""
-    return z @ aux.w.data[:, 0] + aux.bias.data[0]
+    return z @ aux.w[:, 0] + aux.bias[0]
 
 
 def aux_update(kind: str, u: np.ndarray, v: np.ndarray, aux: AuxParams) -> AuxParams:
@@ -144,6 +181,6 @@ def aux_update(kind: str, u: np.ndarray, v: np.ndarray, aux: AuxParams) -> AuxPa
     sv = expit(d_v)[:, None]
     grad_w = (-(su * u).mean(axis=0) + (sv * v).mean(axis=0))[:, None]
     grad_b = float(-su.mean() + sv.mean())
-    aux.w.data = aux.w.data - aux.lr * grad_w
-    aux.bias.data = aux.bias.data - aux.lr * grad_b
+    aux.w = aux.w - aux.lr * grad_w
+    aux.bias = aux.bias - aux.lr * grad_b
     return aux

@@ -1,9 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every differentiable operation builds a node in an acyclic graph; calling
-:func:`backward` on a scalar loss walks the graph in reverse topological
-order and accumulates gradients into the leaves.  Graph-free numpy helpers
-that share its numerics, such as :func:`softmax_array`, live here too.
+A graph node holds a value, its parents and a closed-form backward rule.
+The model's forward pass (``model.logits``) and each alignment penalty
+(``regularizers.penalty``) are one node each; this module holds the node
+type and the few generic nodes that join them into a loss: :func:`add`,
+:func:`scale` and :func:`softmax_cross_entropy`.  Calling :func:`backward`
+on a scalar loss walks the graph in reverse topological order and
+accumulates gradients into the leaves.  Graph-free numpy helpers that share
+its numerics, such as :func:`softmax_array`, live here too.
 """
 
 from __future__ import annotations
@@ -71,13 +75,6 @@ def _coerce(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    # only exact-shape and scalar-with-tensor combinations are supported
-    if a.shape == b.shape or a.data.ndim == 0 or b.data.ndim == 0:
-        return
-    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # reduce a full-shape gradient back down for a scalar operand
     if t.data.ndim == 0:
@@ -89,37 +86,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def add(a, b) -> Tensor:
     """Elementwise sum; scalar operands broadcast against tensors."""
     a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "add")
+    # only exact-shape and scalar-with-tensor combinations are supported
+    if a.shape != b.shape and a.data.ndim and b.data.ndim:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
     def rule(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
     return Tensor(a.data + b.data, (a, b), rule)
-
-
-def sub(a, b) -> Tensor:
-    """Elementwise difference; scalar operands broadcast against tensors."""
-    a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "sub")
-
-    def rule(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return Tensor(a.data - b.data, (a, b), rule)
-
-
-def mul(a, b) -> Tensor:
-    """Elementwise product; scalar operands broadcast against tensors."""
-    a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "mul")
-
-    def rule(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return Tensor(a.data * b.data, (a, b), rule)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -131,102 +106,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         a.grad = a.grad + g * c
 
     return Tensor(a.data * c, (a,), rule)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} disagree")
-
-    def rule(g):
-        a.grad = a.grad + g @ b.data.T
-        b.grad = b.grad + a.data.T @ g
-
-    return Tensor(a.data @ b.data, (a, b), rule)
-
-
-def add_bias(mat: Tensor, bias: Tensor) -> Tensor:
-    """Add a length-k bias row vector to every row of a (b, k) matrix."""
-    mat, bias = _coerce(mat), _coerce(bias)
-    if mat.data.ndim != 2 or bias.data.ndim != 1 or mat.shape[1] != bias.shape[0]:
-        raise ShapeError(f"add_bias: got {mat.shape} and {bias.shape}")
-
-    def rule(g):
-        mat.grad = mat.grad + g
-        bias.grad = bias.grad + g.sum(axis=0)
-
-    return Tensor(mat.data + bias.data, (mat, bias), rule)
-
-
-def relu(a: Tensor) -> Tensor:
-    """Elementwise max(x, 0)."""
-    a = _coerce(a)
-    mask = a.data > 0
-
-    def rule(g):
-        a.grad = a.grad + g * mask
-
-    return Tensor(np.where(mask, a.data, 0.0), (a,), rule)
-
-
-def absolute(a: Tensor) -> Tensor:
-    """Elementwise |x|; subgradient 0 at the kink."""
-    a = _coerce(a)
-    sign = np.sign(a.data)
-
-    def rule(g):
-        a.grad = a.grad + g * sign
-
-    return Tensor(np.abs(a.data), (a,), rule)
-
-
-def softplus(a: Tensor) -> Tensor:
-    """Elementwise log(1 + exp(x)), computed stably."""
-    a = _coerce(a)
-
-    def rule(g):
-        a.grad = a.grad + g / (1.0 + np.exp(-a.data))
-
-    return Tensor(np.logaddexp(0.0, a.data), (a,), rule)
-
-
-def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D tensor; backward scatter-adds into the source."""
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_rows needs a 2-D tensor, got {a.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-
-    def rule(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        a.grad = a.grad + out
-
-    return Tensor(a.data[idx], (a,), rule)
-
-
-def reduce_sum(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar node."""
-    a = _coerce(a)
-
-    def rule(g):
-        a.grad = a.grad + g * np.ones_like(a.data)
-
-    return Tensor(a.data.sum(), (a,), rule)
-
-
-def reduce_mean(a: Tensor) -> Tensor:
-    """Mean of all elements, as a scalar node."""
-    a = _coerce(a)
-    inv = 1.0 / a.data.size
-
-    def rule(g):
-        a.grad = a.grad + g * inv * np.ones_like(a.data)
-
-    return Tensor(a.data.mean(), (a,), rule)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

@@ -175,7 +175,6 @@ def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
                 if aux is not None:
                     aux_update(plan.align_kind, logits_array(model, images),
                                logits_array(model, augmented), aux)
-                    aux.zero_grad()
                 model.params.zero_grad()
                 loss, pen = _assemble(plan, model, images, labels, augmented, aux)
                 T.backward(loss)

@@ -244,6 +244,18 @@ class TestTrain:
         assert "width 64, but the train split has 256" in capsys.readouterr().err
         assert not out.exists()
 
+        # 8x32 hold-out images have the 16x16 train split's width, not its
+        # layout: every model would read their rows scrambled
+        full = gen_minidigits(40, seed=1)
+        wide = LabeledImages(full.images.reshape(40, 8, 32), full.labels, full.num_classes)
+        save_idx(wide, images_path, labels_path)
+        config_path, out = write_config(
+            tmp_path, eval_dataset={"kind": "idx", "images": str(images_path),
+                                    "labels": str(labels_path)})
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "shape 8x32, but the train split has 16x16" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_splits_are_built_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 

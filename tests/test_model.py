@@ -6,6 +6,7 @@ from arlab.datasets import one_hot
 from arlab.errors import FormatError, ShapeError
 from arlab.evaluation import accuracy, robust_accuracy
 from arlab.model import (
+    Classifier,
     family_logits,
     init,
     load_weights,
@@ -85,6 +86,12 @@ def test_logits_array_matches_graph_forward():
     assert np.allclose(logits_array(m, imgs), logits(m, imgs).data, atol=1e-12)
 
 
+def numpy_cross_entropy(z, y):
+    shifted = z - z.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -(y * logp).sum() / len(y)
+
+
 def test_parameter_gradients_match_finite_differences():
     m = init([9, 6, 4], seed=2)
     imgs = np.random.default_rng(5).random((3, 3, 3))
@@ -92,13 +99,13 @@ def test_parameter_gradients_match_finite_differences():
     names = [name for name, _ in m.params.items()]
 
     def build(*param_tensors):
-        h = T.Tensor(imgs.reshape(3, 9))
-        by_name = dict(zip(names, param_tensors))
-        for i in range(m.num_layers):
-            h = T.add_bias(T.matmul(h, by_name[f"w{i}"]), by_name[f"b{i}"])
-            if i < m.num_layers - 1:
-                h = T.relu(h)
-        return T.softmax_cross_entropy(h, y)
+        # the numeric side never touches the graph: a graph-free forward
+        # pass and a numpy cross-entropy
+        params = T.ParamSet()
+        for name, t in zip(names, param_tensors):
+            params.add(name, t)
+        z = logits_array(Classifier(m.widths, params), imgs)
+        return T.Tensor(numpy_cross_entropy(z, y))
 
     arrays = [t.data for t in m.params.tensors()]
     numeric = numeric_grads(build, arrays, h=1e-5)
@@ -112,6 +119,25 @@ def test_parameter_gradients_match_finite_differences():
         assert np.max(np.abs(t.grad - num) / scale) < 1e-4
         checked += t.data.size
     assert checked >= 20
+
+
+def test_logits_node_has_the_parameters_as_parents():
+    m = small_model()
+    node = logits(m, rand_images(4))
+    assert len(node._parents) == len(m.params.tensors())
+    assert all(p is t for p, t in zip(node._parents, m.params.tensors()))
+
+
+def test_non_finite_pre_activation_hidden_by_relu_still_raises():
+    m = small_model()
+    imgs = rand_images(2)
+    # every pixel is positive, so this unit's pre-activation overflows to
+    # -inf, which ReLU would turn into a finite 0
+    m.params["w0"].data[:, 0] = -1e308
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(logits_array(m, imgs)))
+        with pytest.raises(T.NonFiniteError):
+            logits(m, imgs)
 
 
 def test_predict_tie_breaks_to_lowest_index():

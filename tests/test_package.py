@@ -9,8 +9,10 @@ import arlab
 # names deleted because no path of the program reached them, by owning
 # module; a dotted name is an attribute of a class in that module
 REMOVED = {
-    "tensor": ("dft2", "idft2", "softmax", "ParamSet.names"),
-    "regularizers": ("critic_objective", "CRITIC_CLIP"),
+    "tensor": ("dft2", "idft2", "softmax", "ParamSet.names", "sub", "mul", "matmul",
+               "add_bias", "relu", "absolute", "softplus", "take_rows", "reduce_sum",
+               "reduce_mean"),
+    "regularizers": ("critic_objective", "CRITIC_CLIP", "AuxParams.zero_grad"),
     "evaluation": ("wasserstein_invariance", "invariance_score"),
     "model": ("predict", "predict_classes"),
     "transforms": ("apply", "parse_transform"),

@@ -7,6 +7,7 @@ from arlab import tensor as T
 from arlab.errors import DegenerateInputError, ShapeError
 from arlab.regularizers import (
     ALIGN_KINDS,
+    AUX_KINDS,
     AuxParams,
     aux_update,
     discriminator_scores,
@@ -161,6 +162,16 @@ def test_penalty_gradients_reach_model_side():
         backward(penalty(kind, ut, vt))
         assert np.any(ut.grad != 0.0), kind
         assert np.any(vt.grad != 0.0), kind
+
+
+@pytest.mark.parametrize("kind", ALIGN_KINDS)
+def test_each_penalty_is_one_node_over_the_logit_pair(kind):
+    u, v = pair(12)
+    ut, vt = Tensor(u), Tensor(v)
+    aux = init_aux(kind, 3, seed=2) if kind in AUX_KINDS else None
+    node = penalty(kind, ut, vt, aux)
+    assert len(node._parents) == 2
+    assert node._parents[0] is ut and node._parents[1] is vt
 
 
 def test_discriminator_stays_at_chance_on_identical_distributions():

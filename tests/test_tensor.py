@@ -6,42 +6,14 @@ from arlab.tensor import (
     NonFiniteError,
     ParamSet,
     Tensor,
-    absolute,
     add,
-    add_bias,
     backward,
-    matmul,
-    mul,
-    reduce_mean,
-    reduce_sum,
-    relu,
     scale,
     softmax_array,
     softmax_cross_entropy,
-    softplus,
-    sub,
-    take_rows,
 )
 
 from gradcheck import max_rel_error
-
-
-def test_matmul_identity():
-    a = Tensor(np.arange(9.0).reshape(3, 3))
-    out = matmul(a, Tensor(np.eye(3)))
-    assert np.array_equal(out.data, a.data)
-
-
-def test_matmul_small_example():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[1.0], [1.0]])
-    out = matmul(a, b)
-    assert np.array_equal(out.data, [[3.0], [7.0]])
-
-
-def test_matmul_rejects_mismatched_inner_dims():
-    with pytest.raises(ShapeError):
-        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 def test_binary_ops_reject_nonscalar_broadcast():
@@ -54,68 +26,40 @@ def test_nonfinite_construction_rejected():
         Tensor([1.0, np.inf])
 
 
-def test_relu_values():
-    out = relu(Tensor([-1.0, 0.0, 2.0]))
-    assert np.array_equal(out.data, [0.0, 0.0, 2.0])
-
-
-def test_reduce_mean_value():
-    assert reduce_mean(Tensor([2.0, 4.0])).item() == 3.0
-
-
-def test_reduce_sum_value():
-    assert reduce_sum(Tensor([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
-
-
 def test_scalar_broadcast_values():
     x = Tensor([[1.0, 2.0]])
     assert np.array_equal(add(x, Tensor(1.0)).data, [[2.0, 3.0]])
-    assert np.array_equal(mul(x, Tensor(3.0)).data, [[3.0, 6.0]])
-    assert np.array_equal(sub(x, Tensor(1.0)).data, [[0.0, 1.0]])
+    assert np.array_equal(add(Tensor(-1.0), x).data, [[0.0, 1.0]])
+    assert np.array_equal(scale(x, 3.0).data, [[3.0, 6.0]])
+
+
+def one_hot_rows(*classes, k=4):
+    y = np.zeros((len(classes), k))
+    y[np.arange(len(classes)), classes] = 1.0
+    return y
+
+
+Y = one_hot_rows(0, 3, 1)
 
 
 @pytest.mark.parametrize("build,shapes", [
-    (lambda a, b: reduce_sum(matmul(a, b)), [(3, 4), (4, 2)]),
-    (lambda a, b: reduce_mean(mul(a, b)), [(5,), (5,)]),
-    (lambda a, b: reduce_sum(add(a, b)), [(2, 3), (2, 3)]),
-    (lambda a, b: reduce_sum(sub(mul(a, a), b)), [(4,), (4,)]),
-    (lambda a: reduce_sum(relu(a)), [(6,)]),
-    (lambda a: reduce_mean(softplus(a)), [(7,)]),
-    (lambda a, b: reduce_mean(add_bias(a, b)), [(4, 3), (3,)]),
-    (lambda a: scale(reduce_sum(a), 2.5), [(3, 3)]),
-    (lambda a, s: reduce_sum(mul(a, s)), [(3, 2), ()]),
+    (lambda a, b: softmax_cross_entropy(add(a, b), Y), [(3, 4), (3, 4)]),
+    (lambda a: softmax_cross_entropy(scale(a, 2.5), Y), [(3, 4)]),
+    (lambda a, s: softmax_cross_entropy(add(a, s), Y), [(3, 4), ()]),
+    (lambda a, b: add(softmax_cross_entropy(a, Y), softmax_cross_entropy(b, Y)),
+     [(3, 4), (3, 4)]),
+    (lambda a: add(softmax_cross_entropy(a, Y), scale(softmax_cross_entropy(a, Y), 0.5)),
+     [(3, 4)]),
+    (lambda a, b: softmax_cross_entropy(add(scale(a, -1.5), b), Y), [(3, 4), (3, 4)]),
+    (lambda a, s: add(scale(softmax_cross_entropy(a, Y), 2.0), s), [(3, 4), ()]),
+    (lambda a: scale(add(softmax_cross_entropy(a, Y),
+                         softmax_cross_entropy(scale(a, 3.0), Y)), 0.5), [(3, 4)]),
+    (lambda a, b, s: softmax_cross_entropy(add(add(a, b), s), Y), [(3, 4), (3, 4), ()]),
 ])
 def test_gradients_match_finite_differences(build, shapes):
     rng = np.random.default_rng(7)
     arrays = [rng.normal(size=s) for s in shapes]
     assert max_rel_error(build, arrays) < 1e-5
-
-
-def test_absolute_gradient_away_from_kink():
-    rng = np.random.default_rng(3)
-    arr = rng.normal(size=(8,))
-    arr[np.abs(arr) < 0.2] = 0.5
-    assert max_rel_error(lambda a: reduce_sum(absolute(a)), [arr]) < 1e-5
-
-
-def test_relu_gradient_away_from_kink():
-    rng = np.random.default_rng(4)
-    arr = rng.normal(size=(8,))
-    arr[np.abs(arr) < 0.2] = -0.5
-    assert max_rel_error(lambda a: reduce_sum(relu(a)), [arr]) < 1e-5
-
-
-def test_take_rows_values_and_gradient():
-    a = Tensor(np.arange(12.0).reshape(4, 3))
-    idx = np.array([2, 0, 2])
-    out = take_rows(a, idx)
-    assert np.array_equal(out.data, a.data[idx])
-    loss = reduce_sum(mul(out, out))
-    backward(loss)
-    expect = np.zeros((4, 3))
-    for i in idx:
-        expect[i] += 2 * a.data[i]
-    assert np.allclose(a.grad, expect)
 
 
 def test_cross_entropy_uniform_logits():
@@ -185,26 +129,34 @@ def test_backward_requires_scalar_root():
         backward(Tensor(np.ones(3)))
 
 
+def ce_gradient(z, y):
+    # closed form of d/dz mean cross-entropy: (softmax - y) / batch
+    return (softmax_array(z) - y) / len(y)
+
+
 def test_backward_accumulates_until_zeroed():
-    theta = Tensor(np.array([1.0, 2.0, 3.0]))
-    backward(reduce_sum(theta))
-    backward(reduce_sum(theta))
-    assert np.array_equal(theta.grad, [2.0, 2.0, 2.0])
+    theta = Tensor(np.array([[1.0, 2.0, 3.0, -1.0], [0.5, 0.0, -2.0, 1.0]]))
+    y = one_hot_rows(2, 0)
+    backward(softmax_cross_entropy(theta, y))
+    once = theta.grad.copy()
+    assert np.allclose(once, ce_gradient(theta.data, y))
+    backward(softmax_cross_entropy(theta, y))
+    assert np.array_equal(theta.grad, once + once)
     theta.zero_grad()
-    backward(reduce_sum(theta))
-    assert np.array_equal(theta.grad, [1.0, 1.0, 1.0])
+    backward(softmax_cross_entropy(theta, y))
+    assert np.array_equal(theta.grad, once)
 
 
 def test_backward_deterministic_with_zeroing():
     rng = np.random.default_rng(21)
-    w = Tensor(rng.normal(size=(4, 4)))
-    x = Tensor(rng.normal(size=(2, 4)))
+    w = Tensor(rng.normal(size=(3, 4)))
+    x = Tensor(rng.normal(size=(3, 4)))
 
     def run():
         w.zero_grad()
         x.zero_grad()
-        h = relu(matmul(x, w))
-        loss = reduce_mean(mul(h, h))
+        h = add(scale(x, 2.0), w)
+        loss = add(softmax_cross_entropy(h, Y), scale(softmax_cross_entropy(w, Y), 0.5))
         backward(loss)
         return w.grad.copy(), x.grad.copy()
 
@@ -214,28 +166,21 @@ def test_backward_deterministic_with_zeroing():
 
 
 def test_shared_subgraph_two_losses_sum_gradients():
-    theta = Tensor(np.array([1.0, -2.0, 0.5]))
-    sq = mul(theta, theta)
-    backward(reduce_sum(sq))
-    backward(reduce_sum(sq))
-    assert np.allclose(theta.grad, 4.0 * theta.data)
-
-
-def test_gradient_of_sum_is_ones_and_of_sq_norm_is_2theta():
-    theta = Tensor(np.array([0.3, -1.2, 2.0]))
-    backward(reduce_sum(theta))
-    assert np.array_equal(theta.grad, np.ones(3))
-    theta.zero_grad()
-    backward(reduce_sum(mul(theta, theta)))
-    assert np.allclose(theta.grad, 2.0 * theta.data)
+    theta = Tensor(np.array([[1.0, -2.0, 0.5, 0.0], [0.3, 0.1, -0.4, 2.0],
+                             [0.0, 1.0, 1.0, -1.0]]))
+    doubled = scale(theta, 2.0)
+    backward(softmax_cross_entropy(doubled, Y))
+    backward(softmax_cross_entropy(doubled, Y))
+    assert np.allclose(theta.grad, 4.0 * ce_gradient(doubled.data, Y))
 
 
 def test_diamond_graph_gradient():
-    # x feeds two branches that are added; d/dx (x*x + 3x) = 2x + 3
-    x = Tensor(np.array([2.0]))
-    loss = reduce_sum(add(mul(x, x), scale(x, 3.0)))
-    backward(loss)
-    assert np.allclose(x.grad, [7.0])
+    # x feeds d, and d feeds two branches that are added:
+    # d/dx (d + 3d) with d = 2x is 2 + 6 = 8
+    x = Tensor(np.array(2.0))
+    d = scale(x, 2.0)
+    backward(add(d, scale(d, 3.0)))
+    assert x.grad == 8.0
 
 
 def test_param_set_ordering_and_uniqueness():
