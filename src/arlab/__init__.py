@@ -30,6 +30,7 @@ from .errors import (
     FormatError,
     MergeError,
     ShapeError,
+    SizeLimitError,
 )
 from .evaluation import (
     EvalReport,
@@ -86,6 +87,7 @@ __all__ = [
     "NonFiniteError",
     "ParamSet",
     "ShapeError",
+    "SizeLimitError",
     "Tensor",
     "TrainPlan",
     "TransformFamily",

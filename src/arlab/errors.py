@@ -13,6 +13,10 @@ class ConfigError(ValueError):
     """An experiment configuration is invalid."""
 
 
+class SizeLimitError(ConfigError):
+    """An input is larger than the requested operation accepts."""
+
+
 class DegenerateInputError(ValueError):
     """An input is mathematically degenerate for the requested operation."""
 

@@ -11,6 +11,14 @@ transformed copy of every sample (one block per transform, sample order
 preserved inside each block); each original sample retrieves its t nearest
 pool members under L1 distance and is scored by the overlap with its own t
 copies.  Scores average over samples, then over classes.
+
+Distance ties at the t-th place go to the lowest pool indices, as a stable
+sort orders them.  No sort is run: ``np.partition`` gives each query's t-th
+smallest distance d_t, every own copy closer than d_t counts, and an own
+copy at exactly d_t counts when its rank among the entries at d_t, taken in
+pool order, is below the slots the closer entries leave.  Queries run in
+chunks whose (rows, m*t, k) difference array fits a fixed byte budget, so
+memory stays bounded for any class size m.
 """
 
 from __future__ import annotations
@@ -69,6 +77,11 @@ def check_class_sizes(labels: np.ndarray, num_classes: int) -> None:
             f"class {cls} has {counts[cls]} sample(s); the invariance test needs >= 2")
 
 
+# bytes of one chunk's (rows, m*t, k) difference array; a chunk holds at
+# least one query row, so one class never needs its full (m, m*t, k) array
+_CHUNK_BYTES = 256 * 1024
+
+
 def invariance_per_class(cube: np.ndarray, labels: np.ndarray,
                          num_classes: int) -> np.ndarray:
     """Per-class nearest-neighbor overlap scores, classes in label order."""
@@ -80,13 +93,41 @@ def invariance_per_class(cube: np.ndarray, labels: np.ndarray,
         m = members.size
         query = cube[0, members]
         pool = cube[:, members].reshape(t * m, -1)
-        dists = np.abs(query[:, None, :] - pool[None, :, :]).sum(axis=2)
-        # stable sort resolves distance ties toward the lower pool index
-        nearest = np.argsort(dists, axis=1, kind="stable")[:, :t]
-        # pool index p holds sample p % m, so these are sample s's own copies
-        overlap = (nearest % m == np.arange(m)[:, None]).sum(axis=1)
+        rows = max(1, _CHUNK_BYTES // pool.nbytes)
+        overlap = np.empty(m, dtype=np.intp)
+        for start in range(0, m, rows):
+            chunk = slice(start, start + rows)
+            diff = query[chunk, None, :] - pool[None, :, :]
+            dists = np.abs(diff, out=diff).sum(axis=2)
+            overlap[chunk] = _own_among_nearest(dists, np.arange(m)[chunk], m, t)
         scores[cls] = np.mean(overlap) / t
     return scores
+
+
+def _own_among_nearest(dists: np.ndarray, samples: np.ndarray, m: int,
+                       t: int) -> np.ndarray:
+    """How many of each row's t nearest pool entries are the sample's copies.
+
+    Pool index p holds sample p % m.  Ties at the t-th smallest distance go
+    to the lowest pool indices, as a stable sort would order them.
+    """
+    d_t = np.partition(dists, t - 1, axis=1)[:, t - 1:t]
+    before = dists < d_t
+    tied = dists == d_t
+    gap = np.isnan(d_t[:, 0])
+    if gap.any():
+        # a sort puts NaN last, so fewer than t distances are numbers here
+        # and every NaN ties at the t-th place
+        before[gap] = ~np.isnan(dists[gap])
+        tied[gap] = np.isnan(dists[gap])
+    slots = t - before.sum(axis=1, keepdims=True)
+    # rank of each tied entry among the row's tied entries, by pool index
+    rank = np.cumsum(tied, axis=1) - tied
+    own = samples[:, None] + m * np.arange(t)
+    own_before = np.take_along_axis(before, own, axis=1)
+    own_tied = np.take_along_axis(tied, own, axis=1)
+    own_rank = np.take_along_axis(rank, own, axis=1)
+    return own_before.sum(axis=1) + (own_tied & (own_rank < slots)).sum(axis=1)
 
 
 def evaluate(model: Classifier, data: LabeledImages, family: TransformFamily,

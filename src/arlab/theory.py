@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import LabeledImages
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, SizeLimitError
 from .evaluation import accuracy, robust_accuracy
 from .model import Classifier, family_logits
 from .tensor import _log_softmax
@@ -37,6 +37,9 @@ from .transforms import TransformFamily
 from .wasserstein import pairwise_l1, w1_matrix
 
 WITNESS_CAP = 10
+# the efficiency check and every exact W1 solve build an n x n float64 cost
+# matrix, 200 MB at this size, and the Hungarian solve is cubic in n
+_MAX_SAMPLES = 5000
 PHI_NOTE = "capacity term phi(|Theta|, n, delta) omitted; not computable here"
 A5_NOTE = "assumed, per adversarial-training practice; equates expected and empirical worst-case picks"
 
@@ -247,9 +250,16 @@ def bound_terms(train_cube: np.ndarray, train_labels: np.ndarray,
 
 def run_all_checks(model: Classifier, data: LabeledImages,
                    family: TransformFamily) -> dict:
-    """Every checker on one (model, data, family) triple, as one JSON tree."""
+    """Every checker on one (model, data, family) triple, as one JSON tree.
+
+    Data above 5000 samples is refused with a ``SizeLimitError`` before any
+    logit is computed.
+    """
     if len(data) == 0:
         raise DegenerateInputError("the theory checks need at least one sample")
+    if len(data) > _MAX_SAMPLES:
+        raise SizeLimitError(
+            f"data: {len(data)} samples, but the theory checks take at most {_MAX_SAMPLES}")
     cube = family_logits(model, data.images, family)
     w1 = w1_matrix(cube)
     labels = data.labels

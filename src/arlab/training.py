@@ -165,29 +165,31 @@ def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
     aux = (init_aux(plan.align_kind, data.num_classes, plan.seed)
            if plan.needs_aux else None)
     losses, penalties = [], []
-    for epoch in range(plan.epochs):
-        lr = plan.lr.at(epoch)
-        step_losses, step_pens = [], []
-        for images, labels in batches(data, plan.batch_size, _batch_seed(plan.seed, epoch)):
-            try:
-                # built once per step: the aux update and the loss share it
-                augmented = _augmented_copy(plan, model, images, labels)
-                if aux is not None:
-                    aux_update(plan.align_kind, logits_array(model, images),
-                               logits_array(model, augmented), aux)
-                model.params.zero_grad()
-                loss, pen = _assemble(plan, model, images, labels, augmented, aux)
-                T.backward(loss)
-            except NonFiniteError as exc:
-                raise DivergenceError(
-                    f"training diverged (non-finite loss) at epoch {epoch}") from exc
-            for t in model.params.tensors():
-                t.data = t.data - lr * t.grad
-            step_losses.append(loss.item())
-            if pen is not None:
-                step_pens.append(pen)
-        losses.append(float(np.mean(step_losses)))
-        penalties.append(float(np.mean(step_pens)) if step_pens else 0.0)
+    # the finite checks, not numpy's warnings, report a diverging step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(plan.epochs):
+            lr = plan.lr.at(epoch)
+            step_losses, step_pens = [], []
+            for images, labels in batches(data, plan.batch_size, _batch_seed(plan.seed, epoch)):
+                try:
+                    # built once per step: the aux update and the loss share it
+                    augmented = _augmented_copy(plan, model, images, labels)
+                    if aux is not None:
+                        aux_update(plan.align_kind, logits_array(model, images),
+                                   logits_array(model, augmented), aux)
+                    model.params.zero_grad()
+                    loss, pen = _assemble(plan, model, images, labels, augmented, aux)
+                    T.backward(loss)
+                except NonFiniteError as exc:
+                    raise DivergenceError(
+                        f"training diverged (non-finite loss) at epoch {epoch}") from exc
+                for t in model.params.tensors():
+                    t.data = t.data - lr * t.grad
+                step_losses.append(loss.item())
+                if pen is not None:
+                    step_pens.append(pen)
+            losses.append(float(np.mean(step_losses)))
+            penalties.append(float(np.mean(step_pens)) if step_pens else 0.0)
     return RunHistory(losses, penalties, model)
 
 

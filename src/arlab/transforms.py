@@ -143,30 +143,53 @@ def _rotation_gather(h: int, w: int, degrees: float):
     return corners
 
 
+# rows per block of a rotation or low-pass filter: each block's
+# temporaries stay in cache instead of faulting in fresh multi-MB pages
+_BLOCK_ROWS = 64
+
+
 def apply_batch(t: Transform, images: np.ndarray) -> np.ndarray:
-    """Apply one transform to a stack of images; order preserved."""
+    """Apply one transform to a stack of images; order preserved.
+
+    Every transform acts on each image alone, so rotations and low-pass
+    filters run over blocks of rows into one output without changing it.
+    """
     x = np.asarray(images, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"apply_batch needs (n, h, w) images, got {x.shape}")
-    n, h, w = x.shape
     if isinstance(t, Identity):
         return x.copy()
     if isinstance(t, PixelMap):
-        base = (1.0 - x) if t.negate else x
-        return t.scale * base
+        if not t.negate:
+            return t.scale * x
+        # scaled in place: a second whole-batch array would fault in fresh pages
+        out = 1.0 - x
+        out *= t.scale
+        return out
+    if not isinstance(t, (Rotate, FreqCutoff)):
+        raise TypeError(f"unknown transform {t!r}")
+    out = np.empty_like(x)
+    for start in range(0, x.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        _transform_block(t, x[rows], out[rows])
+    return out
+
+
+def _transform_block(t: Rotate | FreqCutoff, x: np.ndarray, out: np.ndarray) -> None:
+    """Write a rotation or low-pass filter of the (b, h, w) block x into out."""
+    _, h, w = x.shape
     if isinstance(t, Rotate):
-        out = np.zeros_like(x)
+        out[...] = 0.0
         for yy, xx, wgt in _rotation_gather(h, w, float(t.degrees)):
             out += x[:, yy, xx] * wgt
-        return np.clip(out, 0.0, 1.0)
-    if isinstance(t, FreqCutoff):
-        spectrum = _dft_matrix(h) @ x @ _dft_matrix(w)
-        centered = np.fft.fftshift(spectrum, axes=(1, 2))
-        centered *= _lowpass_mask(h, w, float(t.radius))
-        masked = np.fft.ifftshift(centered, axes=(1, 2))
-        back = _dft_matrix(h).conj() @ masked @ _dft_matrix(w).conj() / (h * w)
-        return np.clip(back.real, 0.0, 1.0)
-    raise TypeError(f"unknown transform {t!r}")
+        np.clip(out, 0.0, 1.0, out=out)
+        return
+    spectrum = _dft_matrix(h) @ x @ _dft_matrix(w)
+    centered = np.fft.fftshift(spectrum, axes=(1, 2))
+    centered *= _lowpass_mask(h, w, float(t.radius))
+    masked = np.fft.ifftshift(centered, axes=(1, 2))
+    back = _dft_matrix(h).conj() @ masked @ _dft_matrix(w).conj() / (h * w)
+    np.clip(back.real, 0.0, 1.0, out=out)
 
 
 def _scaled_radii(image_size: int) -> list[float]:

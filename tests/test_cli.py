@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,8 +179,7 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_cells_failing_exits_4(self, tmp_path, capsys):
         config_path, out = write_config(tmp_path, lr={"initial": 1e155})
         assert main(["train", "--config", str(config_path)]) == 4
@@ -188,6 +188,20 @@ class TestTrain:
         record = json.loads((out / "B_none_0" / "run.json").read_text())
         assert "diverged" in record["error"]
         assert record["error_kind"] == "divergence"
+
+    def test_diverging_cell_prints_no_numpy_warning(self, tmp_path):
+        # the first step of this cell overflows a matmul in the forward pass
+        config_path, out = write_config(
+            tmp_path, dataset={"kind": "minidigits", "n": 300, "seed": 0},
+            model={"hidden": [64]}, family="texture", methods=["S"],
+            lambda_grid=[30], lr={"initial": 0.05})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(config_path)]) == 4
+        assert [str(w.message) for w in caught] == []
+        record = json.loads((out / "S_30_0" / "run.json").read_text())
+        assert record["error_kind"] == "divergence"
+        assert record["error"] == "training diverged (non-finite loss) at epoch 0"
 
     def test_lambda_annotation_in_summary(self, tmp_path):
         config_path, out = write_config(tmp_path, methods=["B", "S"])
@@ -379,6 +393,19 @@ class TestTheory:
                          "--data", f"{images_path},{labels_path}", "--family", "rotation"])
             assert code == 2, command
             assert "config error:" in capsys.readouterr().err
+
+    def test_over_limit_split_exits_2_before_the_cube(self, trained_run, tmp_path,
+                                                     capsys, calls_to):
+        labels = np.arange(5001) % 10
+        big = LabeledImages(np.zeros((5001, 16, 16)), labels, 10)
+        images_path, labels_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        save_idx(big, images_path, labels_path)
+        cubes = calls_to("model.family_logits")
+        code = main(["theory", "--weights", str(trained_run / "B_none_0" / "weights.bin"),
+                     "--data", f"{images_path},{labels_path}", "--family", "rotation"])
+        assert code == 2
+        assert "5001 samples, but the theory checks take at most 5000" in capsys.readouterr().err
+        assert cubes == []
 
     def test_completes_with_sane_fractions(self, trained_run, tmp_path):
         json_path = tmp_path / "theory.json"

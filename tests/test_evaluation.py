@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from arlab.datasets import LabeledImages, gen_minidigits
 from arlab.errors import DegenerateInputError, MergeError
 from arlab.evaluation import (
+    _CHUNK_BYTES,
     MetricsRow,
     accuracy,
     evaluate,
@@ -16,6 +19,7 @@ from arlab.evaluation import (
     summary_csv,
 )
 from arlab.model import family_logits, init, logits_array
+from arlab.training import LrSchedule, TrainPlan, train
 from arlab.transforms import (
     Identity,
     PixelMap,
@@ -172,6 +176,68 @@ def test_invariance_overlap_matches_set_intersection_under_ties(values):
     cube = rng.integers(0, values, size=(4, 60, 3)).astype(np.float64)
     expect = intersect1d_invariance(cube, labels, 3)
     assert np.array_equal(invariance_per_class(cube, labels, 3), expect)
+
+
+def argsort_invariance(cube, labels, num_classes):
+    """Oracle: the whole (m, m*t, k) difference array and a stable sort per class."""
+    t = cube.shape[0]
+    scores = np.zeros(num_classes)
+    for cls in range(num_classes):
+        members = np.flatnonzero(labels == cls)
+        m = members.size
+        query = cube[0, members]
+        pool = cube[:, members].reshape(t * m, -1)
+        dists = np.abs(query[:, None, :] - pool[None, :, :]).sum(axis=2)
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, :t]
+        overlap = (nearest % m == np.arange(m)[:, None]).sum(axis=1)
+        scores[cls] = np.mean(overlap) / t
+    return scores
+
+
+@pytest.fixture(scope="module")
+def trained_cube():
+    plan = TrainPlan("baseline", family_by_name("rotation"), epochs=2,
+                     lr=LrSchedule(0.5), batch_size=32, seed=0, hidden=(16,))
+    model = train(plan, gen_minidigits(300, seed=0)).model
+    data = gen_minidigits(1213, seed=1)
+    return family_logits(model, data.images, family_by_name("rotation")), data.labels
+
+
+@pytest.mark.parametrize("logits", ["trained", "rounded", "constant", "nan"])
+def test_chunked_invariance_matches_stable_argsort(trained_cube, logits):
+    cube, labels = trained_cube
+    if logits == "rounded":
+        cube = np.round(cube, 1)  # ties many distances
+    elif logits == "constant":
+        cube = np.zeros_like(cube)  # ties every distance
+    elif logits == "nan":
+        # a sort puts NaN distances last; a query with NaN logits has
+        # nothing but NaN distances
+        cube = cube.copy()
+        cube[:, ::7] = np.nan
+        cube[2:, 1::7] = np.nan
+    t, _, k = cube.shape
+    counts = np.bincount(labels, minlength=10)
+    rows = np.maximum(1, _CHUNK_BYTES // (counts * t * k * 8))
+    # every class spans several chunks, and some class ends on a short one
+    assert np.all(counts > 2 * rows) and np.any(counts % rows)
+    expect = argsort_invariance(cube, labels, 10)
+    assert np.array_equal(invariance_per_class(cube, labels, 10), expect)
+
+
+def test_invariance_of_a_large_class_stays_in_bounded_memory():
+    # one class of 2000 samples under 6 members: the whole (m, m*t, k)
+    # difference array would take 2000 * 12000 * 10 * 8 bytes, ~1.9 GB
+    cube = np.random.default_rng(3).normal(size=(6, 2000, 10))
+    labels = np.zeros(2000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        invariance_per_class(cube, labels, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pool copy plus one query row's difference array are 1.9 MB
+    assert peak < 8 * 2 ** 20
 
 
 def test_invariance_rejects_degenerate_class():

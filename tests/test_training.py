@@ -185,7 +185,8 @@ def test_train_zero_lambda_trajectories_identical():
     assert vanilla.losses == aligned.losses
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+# the finite checks report the divergence; numpy prints nothing
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_diverges_with_absurd_lr():
     data = small_data(32, seed=11)
     plan = plan_for("baseline", lr=LrSchedule(1e155), epochs=3)

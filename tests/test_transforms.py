@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from arlab.transforms import (
     PixelMap,
     Rotate,
     TransformFamily,
+    _BLOCK_ROWS,
     _dft_matrix,
     apply_batch,
     family_by_name,
@@ -116,12 +119,31 @@ def test_all_family_outputs_stay_in_unit_interval():
 
 
 def test_apply_batch_matches_per_image_apply():
-    rng = np.random.default_rng(4)
-    images = rng.random((3, 16, 16))
-    for t in (Identity(), FreqCutoff(4.0), Rotate(30.0), PixelMap(0.5, True)):
-        batched = apply_batch(t, images)
-        for i in range(3):
-            assert np.array_equal(batched[i], apply_batch(t, images[i:i + 1])[0])
+    # two whole blocks and a ragged one, so rotations and low-pass filters
+    # cross block boundaries
+    images = np.random.default_rng(4).random((2 * _BLOCK_ROWS + 7, 16, 16))
+    for fname in ("texture", "rotation", "contrast"):
+        for t in family_by_name(fname, image_size=16):
+            per_row = np.concatenate([apply_batch(t, images[i:i + 1])
+                                      for i in range(len(images))])
+            assert np.array_equal(apply_batch(t, images), per_row), t
+
+
+@pytest.mark.parametrize("t", [Rotate(60.0), FreqCutoff(5.0), PixelMap(0.5, True)],
+                         ids=["rotate", "freq", "negated-pixel"])
+def test_apply_batch_peaks_at_output_plus_one_block(t):
+    images = np.random.default_rng(5).random((2000, 16, 16))
+    apply_batch(t, images[:1])  # fills the gather and DFT caches
+    block_bytes = _BLOCK_ROWS * 16 * 16 * 8
+    tracemalloc.start()
+    try:
+        out = apply_batch(t, images)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole-batch filter would hold several (2000, 16, 16) temporaries,
+    # complex ones among them; a negated contrast map needs none
+    assert peak <= out.nbytes + 12 * block_bytes
 
 
 def dft2(image):
