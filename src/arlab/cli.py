@@ -294,6 +294,8 @@ def _run_cell(config: ExperimentConfig, data: LabeledImages, hold_out: LabeledIm
             "invariance": report.invariance,
         }
         record["final_loss"] = history.losses[-1]
+        record["losses"] = history.losses
+        record["penalties"] = history.penalties
     record["duration_s"] = time.monotonic() - started
     (cell_dir / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True))
     return record

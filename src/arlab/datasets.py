@@ -169,15 +169,13 @@ def gen_minidigits(n: int, seed: int, image_size: int = 16) -> LabeledImages:
     return LabeledImages(images, labels, 10)
 
 
-def batches(data: LabeledImages, batch_size: int,
-            seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (images, labels) minibatches over a seeded shuffle of the data.
+def batches(n: int, batch_size: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield the row indices of each minibatch over a seeded shuffle of n rows.
 
-    The final short batch is kept so every sample appears exactly once.
+    The final short batch is kept so every row appears exactly once.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    perm = np.random.default_rng(seed).permutation(len(data))
-    for start in range(0, len(data), batch_size):
-        idx = perm[start:start + batch_size]
-        yield data.images[idx], data.labels[idx]
+    perm = np.random.default_rng(seed).permutation(n)
+    for start in range(0, n, batch_size):
+        yield perm[start:start + batch_size]

@@ -174,6 +174,8 @@ def load_weights(path) -> Classifier:
         widths.append(cols)
         w = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
         b = np.frombuffer(take(cols * 8), dtype="<f8")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise FormatError(f"layer {i} of weight file {path} holds NaN or Inf")
         params.add(f"w{i}", T.Tensor(w.copy()))
         params.add(f"b{i}", T.Tensor(b.copy()))
     if off != len(blob):

@@ -2,8 +2,12 @@
 
 Baseline trains on plain cross-entropy.  The augmented modes pair every
 batch with a transformed copy: either the family's designated training
-vertex, or a per-sample worst case chosen adversarially each step.  Aligned
-variants add a weighted alignment penalty between the two logit batches.
+vertex, or a per-sample worst case chosen adversarially each step.  The
+vertex is fixed, so :func:`train` transforms the whole training set under it
+once per call and each step takes its batch's rows of that copy; worst
+cases depend on the current model and are still chosen at every step.
+Aligned variants add a weighted alignment penalty between the two logit
+batches.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from .regularizers import AUX_KINDS, ALIGN_KINDS, AuxParams, aux_update, init_au
 from .tensor import NonFiniteError, softmax_array
 from .transforms import TransformFamily, apply_batch
 
-MODES = ("baseline", "vanilla-aug", "aligned-vertex", "vanilla-worst", "aligned-worst")
-ALIGNED_MODES = ("aligned-vertex", "aligned-worst")
+VERTEX_MODES = ("vanilla-aug", "aligned-vertex")
 WORST_MODES = ("vanilla-worst", "aligned-worst")
+MODES = ("baseline", *VERTEX_MODES, *WORST_MODES)
+ALIGNED_MODES = ("aligned-vertex", "aligned-worst")
 
 
 @dataclass(frozen=True)
@@ -111,14 +116,23 @@ def worst_case_copy(model: Classifier, images: np.ndarray, labels: np.ndarray,
     return out
 
 
-def _augmented_copy(plan: TrainPlan, model: Classifier, images: np.ndarray,
-                    labels: np.ndarray) -> Optional[np.ndarray]:
-    """The batch's paired copy under the plan; None when the mode has none."""
-    if plan.mode == "baseline":
+def _vertex_copy(plan: TrainPlan, images: np.ndarray) -> Optional[np.ndarray]:
+    """``images`` under the training vertex in a vertex mode; None otherwise."""
+    if plan.mode not in VERTEX_MODES:
         return None
+    return apply_batch(plan.family.training_vertex(), images)
+
+
+def _augmented_copy(plan: TrainPlan, model: Classifier, images: np.ndarray,
+                    labels: np.ndarray, vertex: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The batch's paired copy under the plan; None when the mode has none.
+
+    ``vertex`` is the batch's rows of ``_vertex_copy``, so None outside the
+    vertex modes.
+    """
     if plan.mode in WORST_MODES:
         return worst_case_copy(model, images, labels, plan.family)
-    return apply_batch(plan.family.training_vertex(), images)
+    return vertex
 
 
 def _assemble(plan: TrainPlan, model: Classifier, images: np.ndarray,
@@ -147,7 +161,7 @@ def step_loss(plan: TrainPlan, model: Classifier,
               batch: tuple, aux: Optional[AuxParams] = None) -> T.Tensor:
     """Scalar loss node for one (images, labels) batch under the plan."""
     images, labels = batch
-    augmented = _augmented_copy(plan, model, images, labels)
+    augmented = _augmented_copy(plan, model, images, labels, _vertex_copy(plan, images))
     loss, _ = _assemble(plan, model, images, labels, augmented, aux)
     return loss
 
@@ -158,22 +172,31 @@ def _batch_seed(seed: int, epoch: int) -> int:
 
 
 def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
-    """SGD over the planned epochs; deterministic for a fixed plan."""
+    """SGD over the planned epochs; deterministic for a fixed plan.
+
+    A vertex mode transforms ``data.images`` under the training vertex once,
+    holding one extra array of their size for the call, and each step slices
+    its batch's rows from that copy.  Worst modes choose and transform their
+    copies at every step.
+    """
     widths = (data.images.shape[1] * data.images.shape[2],
               *plan.hidden, data.num_classes)
     model = init(widths, plan.seed)
     aux = (init_aux(plan.align_kind, data.num_classes, plan.seed)
            if plan.needs_aux else None)
+    vertex = _vertex_copy(plan, data.images)
     losses, penalties = [], []
     # the finite checks, not numpy's warnings, report a diverging step
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(plan.epochs):
             lr = plan.lr.at(epoch)
             step_losses, step_pens = [], []
-            for images, labels in batches(data, plan.batch_size, _batch_seed(plan.seed, epoch)):
+            for rows in batches(len(data), plan.batch_size, _batch_seed(plan.seed, epoch)):
+                images, labels = data.images[rows], data.labels[rows]
                 try:
                     # built once per step: the aux update and the loss share it
-                    augmented = _augmented_copy(plan, model, images, labels)
+                    augmented = _augmented_copy(plan, model, images, labels,
+                                                None if vertex is None else vertex[rows])
                     if aux is not None:
                         aux_update(plan.align_kind, logits_array(model, images),
                                    logits_array(model, augmented), aux)

@@ -15,6 +15,7 @@ from arlab.datasets import LabeledImages, gen_minidigits, save_idx
 from arlab.errors import ConfigError
 from arlab.evaluation import MetricsRow, rows_from_csv
 from arlab.model import init, save_weights
+from arlab.training import train
 
 
 def base_config(out_dir, **overrides) -> dict:
@@ -203,6 +204,18 @@ class TestTrain:
         assert record["error_kind"] == "divergence"
         assert record["error"] == "training diverged (non-finite loss) at epoch 0"
 
+    def test_cell_record_keeps_every_epoch(self, tmp_path):
+        config_path, out = write_config(tmp_path, methods=["S"], lambda_grid=[0.01],
+                                        epochs=3)
+        assert main(["train", "--config", str(config_path)]) == 0
+        record = json.loads((out / "S_0.01_0" / "run.json").read_text())
+        config = parse_config(json.loads(config_path.read_text()))
+        history = train(cli.plan_for_cell(config, "S", 0.01, 0, 16),
+                        gen_minidigits(80, seed=0))
+        assert record["losses"] == history.losses
+        assert record["penalties"] == history.penalties
+        assert record["final_loss"] == history.losses[-1]
+
     def test_lambda_annotation_in_summary(self, tmp_path):
         config_path, out = write_config(tmp_path, methods=["B", "S"])
         assert main(["train", "--config", str(config_path)]) == 0
@@ -327,6 +340,20 @@ class TestEval:
                      "--data", "minidigits:40:0", "--family", "rotation"])
         assert code == 3
         assert "artifact error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "theory"])
+    @pytest.mark.parametrize("name,layer,value", [("w0", 0, np.nan), ("b1", 1, np.inf)])
+    def test_non_finite_weights_exit_3(self, tmp_path, capsys, command, name, layer, value):
+        model = init([256, 8, 10], seed=0)
+        model.params[name].data.flat[0] = value
+        path = tmp_path / "bad.bin"
+        save_weights(model, path)
+        code = main([command, "--weights", str(path),
+                     "--data", "minidigits:100:3", "--family", "rotation"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "artifact error" in err
+        assert f"layer {layer} " in err
 
     def test_missing_weights_exits_3(self, tmp_path):
         code = main(["eval", "--weights", str(tmp_path / "ghost.bin"),

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from arlab import training
 from arlab.datasets import gen_minidigits, one_hot
 from arlab.errors import ConfigError, DivergenceError
 from arlab.evaluation import accuracy
 from arlab.model import family_logits, init, logits_array
-from arlab.tensor import Tensor, softmax_array, softmax_cross_entropy
+from arlab.regularizers import aux_update, init_aux
+from arlab.tensor import NonFiniteError, Tensor, backward, softmax_array, softmax_cross_entropy
 from arlab.training import (
     DEFAULT_SEEDS,
     LrSchedule,
@@ -20,6 +24,7 @@ from arlab.transforms import (
     Rotate,
     TransformFamily,
     apply_batch,
+    family_by_name,
     family_contrast,
     family_rotation,
     family_texture,
@@ -208,6 +213,107 @@ def test_train_aux_kinds_run_and_stay_clipped():
     hist = train(plan, data)
     assert len(hist.losses) == 2
     assert np.all(np.isfinite(hist.model.params["w0"].data))
+
+
+def per_step_reference(plan, data):
+    """Reference for vertex-mode ``train``: each step draws its rows from
+    the same seeded shuffle and transforms its own batch under the vertex."""
+    widths = (data.images.shape[1] * data.images.shape[2], *plan.hidden,
+              data.num_classes)
+    model = init(widths, plan.seed)
+    aux = (init_aux(plan.align_kind, data.num_classes, plan.seed)
+           if plan.needs_aux else None)
+    losses, penalties = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(plan.epochs):
+            lr = plan.lr.at(epoch)
+            perm = np.random.default_rng(plan.seed * 1_000_003 + epoch).permutation(len(data))
+            step_losses, step_pens = [], []
+            for start in range(0, len(data), plan.batch_size):
+                idx = perm[start:start + plan.batch_size]
+                images, labels = data.images[idx], data.labels[idx]
+                try:
+                    augmented = apply_batch(plan.family.training_vertex(), images)
+                    if aux is not None:
+                        aux_update(plan.align_kind, logits_array(model, images),
+                                   logits_array(model, augmented), aux)
+                    model.params.zero_grad()
+                    loss, pen = training._assemble(plan, model, images, labels,
+                                                   augmented, aux)
+                    backward(loss)
+                except NonFiniteError as exc:
+                    raise DivergenceError(
+                        f"training diverged (non-finite loss) at epoch {epoch}") from exc
+                for t in model.params.tensors():
+                    t.data = t.data - lr * t.grad
+                step_losses.append(loss.item())
+                if pen is not None:
+                    step_pens.append(pen)
+            losses.append(float(np.mean(step_losses)))
+            penalties.append(float(np.mean(step_pens)) if step_pens else 0.0)
+    return training.RunHistory(losses, penalties, model)
+
+
+VERTEX_CELLS = [("vanilla-aug", 0.0, None), ("aligned-vertex", 0.1, "sql2"),
+                ("aligned-vertex", 0.1, "disc")]
+
+
+@pytest.mark.parametrize("family", ["rotation", "texture", "contrast"])
+@pytest.mark.parametrize("mode,lam,kind", VERTEX_CELLS)
+def test_vertex_training_matches_per_step_reference(family, mode, lam, kind):
+    # 135 rows: the whole-set copy spans three 64-row transform blocks, and
+    # the last batch of each epoch is short
+    data = gen_minidigits(135, seed=14)
+    plan = plan_for(mode, family=family_by_name(family, 16), lam=lam,
+                    align_kind=kind, epochs=3)
+    got, want = train(plan, data), per_step_reference(plan, data)
+    assert got.losses == want.losses
+    assert got.penalties == want.penalties
+    for (name, a), (_, b) in zip(got.model.params.items(), want.model.params.items()):
+        assert np.array_equal(a.data, b.data), name
+
+
+def test_diverging_vertex_cell_fails_like_per_step_reference():
+    data = gen_minidigits(135, seed=15)
+    # a sane first epoch, then a step size that overflows
+    plan = plan_for("aligned-vertex", lam=0.1, align_kind="sql2", epochs=3,
+                    lr=LrSchedule(0.5, decay_factor=1e100))
+    with pytest.raises(DivergenceError) as got:
+        train(plan, data)
+    with pytest.raises(DivergenceError) as want:
+        per_step_reference(plan, data)
+    assert str(got.value) == str(want.value)
+    assert "epoch 0" not in str(got.value)
+
+
+@pytest.mark.parametrize("mode,lam,kind", VERTEX_CELLS)
+def test_vertex_training_transforms_the_set_once(mode, lam, kind, calls_to):
+    data = small_data(100, seed=16)
+    plan = plan_for(mode, lam=lam, align_kind=kind, epochs=3)
+    calls = calls_to("transforms.apply_batch")
+    train(plan, data)
+    assert len(calls) == 1
+    member, images = calls[0]
+    assert member == plan.family.training_vertex()
+    assert np.array_equal(images, data.images)
+
+
+@pytest.mark.parametrize("family", ["rotation", "texture", "contrast"])
+def test_vertex_training_holds_at_most_one_copy_of_the_set(family):
+    data = gen_minidigits(2000, seed=17)
+    plan = plan_for("aligned-vertex", family=family_by_name(family, 16), lam=0.1,
+                    align_kind="sql2", epochs=1)
+    train(plan, data.subset(range(40)))  # fills the gather and DFT caches
+    tracemalloc.start()
+    try:
+        train(plan, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the slack covers the model, one step's graph and apply_batch's block
+    # temporaries (1.4 MB for the texture filter); a second copy of the
+    # 4.1 MB set, or one per family member, does not fit in it
+    assert peak <= data.images.nbytes + 2 * 2**20
 
 
 def test_default_grid_and_seeds():
