@@ -1,7 +1,7 @@
-"""Tour of the reverse-mode engine behind every loss in the package.
+"""Tour of the reverse-mode engine behind every training step.
 
-Builds a small classifier, runs its forward pass as one graph node, takes
-one backward pass through a cross-entropy loss, and confirms a couple of
+Builds a small classifier, takes the loss of one baseline training step as
+a graph node, runs one backward pass through it, and confirms a couple of
 weight coordinates against central finite differences.
 """
 
@@ -9,22 +9,28 @@ import numpy as np
 
 from arlab import tensor as T
 from arlab.model import init, logits
+from arlab.training import TrainPlan, step_loss
+from arlab.transforms import family_rotation
 
 rng = np.random.default_rng(0)
 
 # -- 1. a 9-6-2 classifier: its parameters are the graph's leaves -----------
 model = init([9, 6, 2], seed=0)
 images = rng.random((5, 3, 3))
-y = np.array([[1, 0], [0, 1], [1, 0], [1, 0], [0, 1]], dtype=np.float64)
+labels = np.array([0, 1, 0, 0, 1])
 w = model.params["w0"]
+# a baseline step is plain cross-entropy; the family only matters to the
+# augmented modes
+plan = TrainPlan(mode="baseline", family=family_rotation())
 
 
 def loss_node():
-    return T.softmax_cross_entropy(logits(model, images), y)
+    return step_loss(plan, model, (images, labels))
 
 
 loss = loss_node()
 print(f"loss value          {loss.item():.6f}")
+print(f"graph               loss <- forward pass <- {len(model.params.tensors())} parameters")
 
 # -- 2. one backward pass fills .grad on every parameter --------------------
 T.backward(loss)

@@ -190,6 +190,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     try:
         lr = LrSchedule(float(lr_fields["initial"]), float(lr_fields["decay_factor"]),
                         lr_fields["decay_every"])
+        lr.check(epochs)
     except ConfigError as exc:
         _fail("lr", str(exc))
 

@@ -1,13 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A graph node holds a value, its parents and a closed-form backward rule.
-The model's forward pass (``model.logits``) and each alignment penalty
-(``regularizers.penalty``) are one node each; this module holds the node
-type and the few generic nodes that join them into a loss: :func:`add`,
-:func:`scale` and :func:`softmax_cross_entropy`.  Calling :func:`backward`
-on a scalar loss walks the graph in reverse topological order and
-accumulates gradients into the leaves.  Graph-free numpy helpers that share
-its numerics, such as :func:`softmax_array`, live here too.
+The model's forward pass (``model.logits``), each alignment penalty
+(``regularizers.penalty``) and a training step's loss
+(``training.step_loss``) are one node each, so this module holds no
+generic operations: only the node type, :func:`backward` and the parameter
+collection.  Calling :func:`backward` on a scalar loss walks the graph in
+reverse topological order and accumulates gradients into the leaves.
+Graph-free numpy helpers that share its numerics, such as
+:func:`softmax_array`, live here too.
 """
 
 from __future__ import annotations
@@ -69,45 +70,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, leaf={self.is_leaf})"
 
 
-def _coerce(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # reduce a full-shape gradient back down for a scalar operand
-    if t.data.ndim == 0:
-        t.grad = t.grad + np.sum(g)
-    else:
-        t.grad = t.grad + g
-
-
-def add(a, b) -> Tensor:
-    """Elementwise sum; scalar operands broadcast against tensors."""
-    a, b = _coerce(a), _coerce(b)
-    # only exact-shape and scalar-with-tensor combinations are supported
-    if a.shape != b.shape and a.data.ndim and b.data.ndim:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-
-    def rule(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return Tensor(a.data + b.data, (a, b), rule)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a plain float constant."""
-    a = _coerce(a)
-    c = float(c)
-
-    def rule(g):
-        a.grad = a.grad + g * c
-
-    return Tensor(a.data * c, (a,), rule)
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -116,39 +78,6 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 def softmax_array(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a plain array (no graph node)."""
     return np.exp(_log_softmax(z))
-
-
-def validate_one_hot(labels: np.ndarray) -> np.ndarray:
-    """Check that every row of ``labels`` is a valid one-hot vector."""
-    y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 2:
-        raise ValueError(f"one-hot labels must be 2-D, got shape {y.shape}")
-    ok = np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) == 1.0)
-    if not ok:
-        raise ValueError("labels are not one-hot rows")
-    return y
-
-
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy between softmax(logits) and one-hot labels.
-
-    Stabilized by max-subtraction; returns a scalar node whose gradient with
-    respect to the logits is (softmax - y) / batch.
-    """
-    logits = _coerce(logits)
-    if logits.data.ndim != 2 or logits.shape[1] < 2:
-        raise ShapeError(f"logits must be (b, k) with k >= 2, got {logits.shape}")
-    y = validate_one_hot(labels)
-    if y.shape != logits.shape:
-        raise ShapeError(f"labels shape {y.shape} != logits shape {logits.shape}")
-    b = logits.shape[0]
-    logp = _log_softmax(logits.data)
-    loss = -(y * logp).sum() / b
-
-    def rule(g):
-        logits.grad = logits.grad + g * (np.exp(logp) - y) / b
-
-    return Tensor(loss, (logits,), rule)
 
 
 def backward(loss: Tensor) -> None:

@@ -7,11 +7,14 @@ vertex is fixed, so :func:`train` transforms the whole training set under it
 once per call and each step takes its batch's rows of that copy; worst
 cases depend on the current model and are still chosen at every step.
 Aligned variants add a weighted alignment penalty between the two logit
-batches.
+batches.  A step's graph holds one node for each forward pass, one for the
+penalty and one for the loss, whose backward rule is written out in closed
+form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,10 +22,10 @@ import numpy as np
 
 from . import tensor as T
 from .datasets import LabeledImages, batches, one_hot
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .model import Classifier, family_logits, init, logits, logits_array
 from .regularizers import AUX_KINDS, ALIGN_KINDS, AuxParams, aux_update, init_aux, penalty
-from .tensor import NonFiniteError, softmax_array
+from .tensor import NonFiniteError, _as_array, _log_softmax, softmax_array
 from .transforms import TransformFamily, apply_batch
 
 VERTEX_MODES = ("vanilla-aug", "aligned-vertex")
@@ -46,6 +49,17 @@ class LrSchedule:
     def at(self, epoch: int) -> float:
         return self.initial * self.decay_factor ** (epoch // self.decay_every)
 
+    def check(self, epochs: int) -> None:
+        """Reject a schedule whose rate overflows or reaches zero within ``epochs``."""
+        for epoch in range(0, epochs, self.decay_every):
+            try:
+                rate = self.at(epoch)
+            except OverflowError:
+                rate = math.inf
+            if not 0.0 < rate < math.inf:
+                raise ConfigError(
+                    f"learning rate at epoch {epoch} is {rate}, not a finite positive number")
+
 
 @dataclass(frozen=True)
 class TrainPlan:
@@ -68,6 +82,7 @@ class TrainPlan:
             raise ConfigError("lambda must be nonnegative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be positive")
+        self.lr.check(self.epochs)
         if self.align_kind is not None and self.align_kind not in ALIGN_KINDS:
             raise ConfigError(f"unknown alignment kind {self.align_kind!r}")
         if self.lam > 0 and self.mode in ALIGNED_MODES and self.align_kind is None:
@@ -140,21 +155,44 @@ def _assemble(plan: TrainPlan, model: Classifier, images: np.ndarray,
               aux: Optional[AuxParams]):
     """Build the step's loss node; returns (loss, penalty value or None).
 
-    ``augmented`` is the batch's paired copy from ``_augmented_copy``.
+    ``augmented`` is the batch's paired copy from ``_augmented_copy``.  The
+    loss is one node over the logits ``u`` (and ``v`` of the copy) and the
+    penalty node: the mean cross-entropy of ``u``, or of ``u`` and ``v``
+    averaged, plus lambda times the penalty.  Each cross-entropy is checked
+    for finite values before the penalty is built, so a diverging step
+    reports divergence rather than an error of the penalty's own.
     """
-    if images.shape[0] < 1:
+    b = images.shape[0]
+    if b < 1:
         raise ValueError("empty batch")
     y = one_hot(labels, model.num_classes)
     u = logits(model, images)
+    pair = [u] if augmented is None else [u, logits(model, augmented)]
+    if model.num_classes < 2:
+        raise ShapeError(f"logits must be (b, k) with k >= 2, got {u.shape}")
+    logps = [_log_softmax(z.data) for z in pair]
+    ces = [_as_array(-(y * logp).sum() / b) for logp in logps]
     if augmented is None:
-        return T.softmax_cross_entropy(u, y), None
-    v = logits(model, augmented)
-    ce = T.scale(T.add(T.softmax_cross_entropy(u, y),
-                       T.softmax_cross_entropy(v, y)), 0.5)
-    if not plan.uses_penalty:
-        return ce, None
-    pen = penalty(plan.align_kind, u, v, aux)
-    return T.add(ce, T.scale(pen, plan.lam)), pen.item()
+        weight, value = 1.0, ces[0]
+    else:
+        # the pair's mean halves each cross-entropy's gradient
+        weight, value = 0.5, (ces[0] + ces[1]) * 0.5
+    pen = None
+    if plan.uses_penalty:
+        pen = penalty(plan.align_kind, u, pair[1], aux)
+        value = value + pen.data * plan.lam
+
+    # value and gradients repeat, in order, the float operations of separate
+    # cross-entropy, add and scale nodes (composed_step_loss in
+    # tests/oracles.py), so the two match bit for bit
+    def rule(g):
+        for z, logp in zip(pair, logps):
+            z.grad = z.grad + (g * weight) * (np.exp(logp) - y) / b
+        if pen is not None:
+            pen.grad = pen.grad + g * plan.lam
+
+    parents = pair if pen is None else [*pair, pen]
+    return T.Tensor(value, parents, rule), None if pen is None else pen.item()
 
 
 def step_loss(plan: TrainPlan, model: Classifier,

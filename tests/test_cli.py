@@ -176,6 +176,15 @@ class TestTrain:
         assert main(["train", "--config", str(config_path)]) == 2
         assert "methods" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factor,epoch", [(1e200, 2), (1e-200, 1)])
+    def test_rate_that_overflows_or_vanishes_exits_2_before_training(
+            self, tmp_path, capsys, factor, epoch):
+        config_path, out = write_config(
+            tmp_path, epochs=4, lr={"initial": 1e-250, "decay_factor": factor})
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert f"lr: learning rate at epoch {epoch} " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config" in capsys.readouterr().err

@@ -8,8 +8,8 @@ from arlab.datasets import gen_minidigits, one_hot
 from arlab.errors import ConfigError, DivergenceError
 from arlab.evaluation import accuracy
 from arlab.model import family_logits, init, logits_array
-from arlab.regularizers import aux_update, init_aux
-from arlab.tensor import NonFiniteError, Tensor, backward, softmax_array, softmax_cross_entropy
+from arlab.regularizers import ALIGN_KINDS, aux_update, init_aux
+from arlab.tensor import NonFiniteError, Tensor, backward, softmax_array
 from arlab.training import (
     DEFAULT_SEEDS,
     LrSchedule,
@@ -29,6 +29,8 @@ from arlab.transforms import (
     family_rotation,
     family_texture,
 )
+
+from oracles import composed_step_loss, numpy_cross_entropy
 
 
 def plan_for(mode, **kw):
@@ -104,9 +106,9 @@ def test_step_loss_vanilla_aug_uses_training_vertex():
     fam = family_rotation()
     loss = step_loss(plan_for("vanilla-aug"), m, (data.images, data.labels))
     y = one_hot(data.labels, 10)
-    ce_x = softmax_cross_entropy(Tensor(logits_array(m, data.images)), y).item()
+    ce_x = numpy_cross_entropy(logits_array(m, data.images), y)
     aug = apply_batch(fam.training_vertex(), data.images)
-    ce_v = softmax_cross_entropy(Tensor(logits_array(m, aug)), y).item()
+    ce_v = numpy_cross_entropy(logits_array(m, aug), y)
     assert loss.item() == pytest.approx(0.5 * (ce_x + ce_v), rel=1e-12)
 
 
@@ -123,8 +125,8 @@ def test_step_loss_aligned_worst_independent_recomputation():
     y = one_hot(data.labels, 10)
     u = logits_array(m, data.images)
     v = logits_array(m, worst)
-    ce_x = softmax_cross_entropy(Tensor(u), y).item()
-    ce_v = softmax_cross_entropy(Tensor(v), y).item()
+    ce_x = numpy_cross_entropy(u, y)
+    ce_v = numpy_cross_entropy(v, y)
     pen = np.mean(((u - v) ** 2).sum(axis=1))
     expect = 0.5 * (ce_x + ce_v) + lam * pen
     assert loss.item() == pytest.approx(expect, abs=1e-10)
@@ -157,6 +159,16 @@ def test_plan_validation():
 def test_lr_schedule_step_decay():
     sched = LrSchedule(1.0, decay_factor=0.5, decay_every=2)
     assert [sched.at(e) for e in range(5)] == [1.0, 1.0, 0.5, 0.5, 0.25]
+
+
+@pytest.mark.parametrize("factor,epoch", [(1e200, 2), (1e-200, 1)])
+def test_plan_rejects_a_rate_that_overflows_or_vanishes(factor, epoch):
+    # 1e200 ** 2 overflows a float at epoch 2; 1e-250 * 1e-200 is 0.0
+    lr = LrSchedule(1e-250, decay_factor=factor)
+    with pytest.raises(ConfigError, match=f"learning rate at epoch {epoch} "):
+        plan_for("baseline", lr=lr, epochs=4)
+    # the same schedule is fine while every epoch's rate is finite and positive
+    plan_for("baseline", lr=lr, epochs=epoch)
 
 
 def test_train_deterministic():
@@ -215,9 +227,10 @@ def test_train_aux_kinds_run_and_stay_clipped():
     assert np.all(np.isfinite(hist.model.params["w0"].data))
 
 
-def per_step_reference(plan, data):
+def per_step_reference(plan, data, assemble=training._assemble):
     """Reference for vertex-mode ``train``: each step draws its rows from
-    the same seeded shuffle and transforms its own batch under the vertex."""
+    the same seeded shuffle and transforms its own batch under the vertex.
+    ``assemble`` builds each step's loss, as ``training._assemble`` does."""
     widths = (data.images.shape[1] * data.images.shape[2], *plan.hidden,
               data.num_classes)
     model = init(widths, plan.seed)
@@ -238,8 +251,7 @@ def per_step_reference(plan, data):
                         aux_update(plan.align_kind, logits_array(model, images),
                                    logits_array(model, augmented), aux)
                     model.params.zero_grad()
-                    loss, pen = training._assemble(plan, model, images, labels,
-                                                   augmented, aux)
+                    loss, pen = assemble(plan, model, images, labels, augmented, aux)
                     backward(loss)
                 except NonFiniteError as exc:
                     raise DivergenceError(
@@ -284,6 +296,106 @@ def test_diverging_vertex_cell_fails_like_per_step_reference():
         per_step_reference(plan, data)
     assert str(got.value) == str(want.value)
     assert "epoch 0" not in str(got.value)
+
+
+def test_diverging_cell_fails_like_the_composed_step():
+    data = gen_minidigits(135, seed=15)
+    plan = plan_for("aligned-vertex", lam=0.1, align_kind="sql2", epochs=3,
+                    lr=LrSchedule(0.5, decay_factor=1e100))
+    with pytest.raises(DivergenceError) as got:
+        train(plan, data)
+    with pytest.raises(DivergenceError) as want:
+        per_step_reference(plan, data, composed_step_loss)
+    assert str(got.value) == str(want.value)
+    assert "epoch 0" not in str(got.value)
+
+
+STEP_CELLS = [("baseline", 0.0, None), ("vanilla-aug", 0.0, None),
+              ("vanilla-worst", 0.0, None), ("aligned-vertex", 0.0, "sql2"),
+              *[(mode, 0.1, kind) for mode in training.ALIGNED_MODES for kind in ALIGN_KINDS]]
+
+
+def sgd_steps(plan, data, assemble, batch_size=16):
+    """One epoch of SGD in row order, each loss built by ``assemble``.
+
+    Returns every step's loss value, penalty value and parameter gradients.
+    """
+    model = init((256, 12, 10), plan.seed)
+    aux = init_aux(plan.align_kind, 10, plan.seed) if plan.needs_aux else None
+    vertex = training._vertex_copy(plan, data.images)
+    steps = []
+    for start in range(0, len(data), batch_size):
+        rows = np.arange(start, min(start + batch_size, len(data)))
+        images, labels = data.images[rows], data.labels[rows]
+        augmented = training._augmented_copy(plan, model, images, labels,
+                                              None if vertex is None else vertex[rows])
+        if aux is not None:
+            aux_update(plan.align_kind, logits_array(model, images),
+                       logits_array(model, augmented), aux)
+        model.params.zero_grad()
+        loss, pen = assemble(plan, model, images, labels, augmented, aux)
+        backward(loss)
+        steps.append((loss.item(), pen, [t.grad.copy() for t in model.params.tensors()]))
+        for t in model.params.tensors():
+            t.data = t.data - plan.lr.at(0) * t.grad
+    return steps
+
+
+@pytest.mark.parametrize("family", ["rotation", "texture", "contrast"])
+@pytest.mark.parametrize("mode,lam,kind", STEP_CELLS)
+def test_one_node_step_matches_the_composed_step(family, mode, lam, kind):
+    data = gen_minidigits(40, seed=18)
+    plan = plan_for(mode, family=family_by_name(family, 16), lam=lam, align_kind=kind)
+    got = sgd_steps(plan, data, training._assemble)
+    want = sgd_steps(plan, data, composed_step_loss)
+    assert len(got) == 3
+    for (loss, pen, grads), (loss_ref, pen_ref, grads_ref) in zip(got, want):
+        assert loss == loss_ref
+        assert pen == pen_ref
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.array_equal(g, g_ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("assemble", [training._assemble, composed_step_loss])
+def test_non_finite_cross_entropy_fails_before_the_penalty(assemble):
+    data = small_data(8, seed=19)
+    images = data.images.copy()
+    images[0] = 0.0  # zero logits: cosine alignment is undefined on this row
+    m = init([256, 8, 10], seed=19)
+    plan = plan_for("aligned-vertex", lam=0.1, align_kind="cos")
+    augmented = training._vertex_copy(plan, images)
+    # one hidden unit drives logits 0 and 1 toward +-1e308: finite, but the
+    # log-softmax reaches -inf where the two meet, so the cross-entropy is NaN
+    w0, b0 = m.params["w0"].data, m.params["b0"].data
+    hidden = np.maximum(np.concatenate([images, augmented]).reshape(16, -1) @ w0 + b0, 0.0)
+    unit = int(np.argmax(hidden.max(axis=0)))
+    c = 1e308 / hidden[:, unit].max()
+    m.params["w1"].data[unit, :2] = [c, -c]
+    with pytest.raises(NonFiniteError):
+        assemble(plan, m, images, data.labels, augmented, None)
+
+
+@pytest.mark.parametrize("mode,lam,kind,nodes", [
+    ("baseline", 0.0, None, 2), ("vanilla-worst", 0.0, None, 3),
+    ("aligned-vertex", 0.1, "sql2", 4), ("aligned-worst", 0.1, "disc", 4)])
+def test_a_step_is_one_node_per_forward_pass_penalty_and_loss(mode, lam, kind, nodes,
+                                                            monkeypatch):
+    data = small_data(8, seed=20)
+    m = init([256, 8, 10], seed=20)
+    plan = plan_for(mode, lam=lam, align_kind=kind)
+    aux = init_aux(kind, 10, seed=20) if plan.needs_aux else None
+    made = []
+    original = Tensor.__init__
+
+    def counting(node, *args, **kwargs):
+        made.append(node)
+        original(node, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    loss = step_loss(plan, m, (data.images, data.labels), aux)
+    assert len(made) == nodes
+    assert made[-1] is loss
 
 
 @pytest.mark.parametrize("mode,lam,kind", VERTEX_CELLS)

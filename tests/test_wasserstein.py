@@ -6,15 +6,7 @@ import pytest
 from arlab.errors import ShapeError
 from arlab.wasserstein import min_cost_matching, pairwise_l1, w1_exact, w1_matching, w1_matrix
 
-
-def brute_force_w1(u, v):
-    """Oracle: enumerate every permutation and take the cheapest pairing."""
-    b = len(u)
-    best = np.inf
-    for perm in itertools.permutations(range(b)):
-        total = sum(np.abs(u[i] - v[perm[i]]).sum() for i in range(b))
-        best = min(best, total)
-    return best
+from oracles import brute_force_w1
 
 
 def test_pairwise_l1_small_example():
