@@ -3,9 +3,9 @@
 A small numpy/scipy stack for studying how aligning the representations
 of augmented sample pairs affects robustness to distribution shift:
 
-- reverse-mode autodiff on numpy arrays, where the forward pass, each
-  penalty and a training step's loss are one node each, with a closed-form
-  backward rule (:mod:`arlab.tensor`)
+- trainable parameters and the closed-form backward pass of a training
+  step, whose loss and logit gradients are written out as one formula
+  (:mod:`arlab.tensor`)
 - MLP classifiers with portable binary weights (:mod:`arlab.model`)
 - image corpora: IDX files and a synthetic digit generator
   (:mod:`arlab.datasets`)

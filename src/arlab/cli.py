@@ -364,6 +364,8 @@ def cmd_train(config_path: str, parallel: int = 1,
     config = parse_config(doc)
     # each split is built once per run and shared by every cell
     data = _load_dataset(config.dataset)
+    if len(data) == 0:
+        raise DegenerateInputError("data: the train split holds no images")
     eval_spec = _eval_spec(config)
     hold_out = data if eval_spec == config.dataset else _load_dataset(eval_spec)
     # a held-out split no cell could be scored on is the run's fault, not a

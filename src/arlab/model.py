@@ -1,15 +1,15 @@
 """Feed-forward classifier producing logits, with binary weight persistence.
 
-:func:`logits` is the differentiable forward pass: one graph node whose
-parents are the layer parameters and whose backward rule runs through
-every layer in closed form.  :func:`logits_array` is the same pass
-without a graph, for evaluation.
+:func:`logits` is the training forward pass: it returns the logits in a
+:class:`Forward` record that also keeps what ``tensor.backward`` needs to
+run back through the layers.  :func:`logits_array` is the same pass
+keeping nothing, for evaluation.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,38 +76,40 @@ def _flatten(model: Classifier, images: np.ndarray) -> np.ndarray:
     return flat
 
 
-def logits(model: Classifier, images: np.ndarray) -> T.Tensor:
-    """Differentiable forward pass to the logit layer, as one graph node.
+class Forward(NamedTuple):
+    """One training forward pass: the logits and what its backward pass reads.
 
-    The node's parents are the layer parameters.  Its backward rule runs
-    back through every layer in closed form: the affine map, then the ReLU
-    mask of the layer below.  Every pre-activation is checked for finite
-    values, so a diverging model fails even where ReLU would zero the
-    non-finite entries.
+    ``layers`` holds each layer's (w, b) parameters, ``inputs`` each
+    layer's input rows and ``masks`` each hidden layer's ReLU mask.
+    """
+
+    logits: np.ndarray
+    layers: list
+    inputs: list
+    masks: list
+
+
+def logits(model: Classifier, images: np.ndarray) -> Forward:
+    """Training forward pass to the logit layer, kept for ``tensor.backward``.
+
+    Every pre-activation and the logits are checked for finite values, so
+    a diverging model fails even where ReLU would zero the non-finite
+    entries.
     """
     h = _flatten(model, images)
+    layers = [model.layer(i) for i in range(model.num_layers)]
     inputs, masks = [], []
-    for i in range(model.num_layers):
-        w, b = model.layer(i)
+    for i, (w, b) in enumerate(layers):
         inputs.append(h)
         h = h @ w.data + b.data
         if i < model.num_layers - 1:
             masks.append(T._as_array(h) > 0)
             h = np.where(masks[-1], h, 0.0)
-
-    def rule(g):
-        for i in reversed(range(model.num_layers)):
-            w, b = model.layer(i)
-            b.grad = b.grad + g.sum(axis=0)
-            w.grad = w.grad + inputs[i].T @ g
-            if i > 0:
-                g = (g @ w.data.T) * masks[i - 1]
-
-    return T.Tensor(h, model.params.tensors(), rule)
+    return Forward(T._as_array(h), layers, inputs, masks)
 
 
 def logits_array(model: Classifier, images: np.ndarray) -> np.ndarray:
-    """Forward pass without building a graph, for gradient-free evaluation."""
+    """Forward pass that keeps nothing for a backward pass, for evaluation."""
     h = _flatten(model, images)
     for i in range(model.num_layers):
         w, b = model.layer(i)

@@ -1,8 +1,9 @@
 """Alignment penalties over paired batches of logits.
 
 Each penalty takes the logits of original samples (first argument) and of
-their augmented counterparts (second argument) and returns one scalar graph
-node with a closed-form backward rule; smaller always means better aligned.
+their augmented counterparts (second argument), as plain arrays, and
+returns its value with its gradients in closed form; smaller always means
+better aligned.
 The adversarial kind, ``disc``, carries a small auxiliary network of its
 own: a one-layer discriminator, which the penalty holds fixed and
 :func:`aux_update` trains.
@@ -16,7 +17,6 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from . import tensor as T
 from .errors import DegenerateInputError, ShapeError
 from .tensor import _as_array, _log_softmax
 from .wasserstein import w1_matching
@@ -31,7 +31,7 @@ AUX_LR = 5e-4
 class AuxParams:
     """Adversarial auxiliary: an affine discriminator, as plain arrays.
 
-    It is trained by :func:`aux_update` alone, so it is no graph leaf.
+    It is trained by :func:`aux_update` alone, so it is no model parameter.
     """
 
     kind: str
@@ -48,113 +48,93 @@ def init_aux(kind: str, num_logits: int, seed: int, lr: float = AUX_LR) -> AuxPa
     return AuxParams(kind, rng.normal(0.0, 0.1, size=(num_logits, 1)), np.zeros(1), lr)
 
 
-def _check_pair(u: T.Tensor, v: T.Tensor) -> int:
-    if u.data.ndim != 2 or u.shape != v.shape:
+def _check_pair(u: np.ndarray, v: np.ndarray) -> int:
+    if u.ndim != 2 or u.shape != v.shape:
         raise ShapeError(f"penalty needs matching (b, k) pairs, got {u.shape} and {v.shape}")
     if u.shape[0] < 1:
         raise ValueError("penalty needs at least one row")
     return u.shape[0]
 
 
-def _l1_penalty(u: T.Tensor, v: T.Tensor, b: int, sigma: np.ndarray) -> T.Tensor:
+def _l1_penalty(u, v, b: int, sigma: np.ndarray, g: float):
     # mean l1 distance from each row of u to row sigma[i] of v
     c = 1.0 / b
-    d = u.data - v.data[sigma]
-    sign = np.sign(d)
-
-    def rule(g):
-        gd = g * c * sign
-        u.grad = u.grad + gd
-        back = np.zeros_like(v.data)
-        back[sigma] = gd
-        v.grad = v.grad - back
-
-    return T.Tensor(np.abs(d).sum() * c, (u, v), rule)
+    d = u - v[sigma]
+    value = float(_as_array(np.abs(d).sum() * c))
+    gd = g * c * np.sign(d)
+    back = np.zeros_like(v)
+    back[sigma] = gd
+    return value, gd, -back
 
 
-def _sql2_penalty(u: T.Tensor, v: T.Tensor, b: int) -> T.Tensor:
+def _sql2_penalty(u, v, b: int, g: float):
     c = 1.0 / b
-    d = u.data - v.data
-
-    def rule(g):
-        gd = 2.0 * (g * c * d)
-        u.grad = u.grad + gd
-        v.grad = v.grad - gd
-
-    return T.Tensor((d * d).sum() * c, (u, v), rule)
+    d = u - v
+    gd = 2.0 * (g * c * d)
+    return float(_as_array((d * d).sum() * c)), gd, -gd
 
 
-def _cosine_penalty(u: T.Tensor, v: T.Tensor, b: int) -> T.Tensor:
-    un = np.linalg.norm(u.data, axis=1)
-    vn = np.linalg.norm(v.data, axis=1)
+def _cosine_penalty(u, v, b: int, g: float):
+    un = np.linalg.norm(u, axis=1)
+    vn = np.linalg.norm(v, axis=1)
     if np.any(un < 1e-12) or np.any(vn < 1e-12):
         raise DegenerateInputError("cosine alignment undefined for zero-norm logits")
-    dots = (u.data * v.data).sum(axis=1)
-    c = dots / (un * vn)
-    val = np.mean(1.0 - c)
-
-    def rule(g):
-        u.grad = u.grad - g / b * (v.data / (un * vn)[:, None]
-                                   - (c / un ** 2)[:, None] * u.data)
-        v.grad = v.grad - g / b * (u.data / (un * vn)[:, None]
-                                   - (c / vn ** 2)[:, None] * v.data)
-
-    return T.Tensor(val, (u, v), rule)
+    c = (u * v).sum(axis=1) / (un * vn)
+    value = float(_as_array(np.mean(1.0 - c)))
+    gu = g / b * (v / (un * vn)[:, None] - (c / un ** 2)[:, None] * u)
+    gv = g / b * (u / (un * vn)[:, None] - (c / vn ** 2)[:, None] * v)
+    return value, -gu, -gv
 
 
-def _kl_penalty(u: T.Tensor, v: T.Tensor, b: int) -> T.Tensor:
-    logp, logq = _log_softmax(u.data), _log_softmax(v.data)
+def _kl_penalty(u, v, b: int, g: float):
+    logp, logq = _log_softmax(u), _log_softmax(v)
     p, q = np.exp(logp), np.exp(logq)
     kl_rows = (p * (logp - logq)).sum(axis=1)
-    val = kl_rows.mean()
-
-    def rule(g):
-        u.grad = u.grad + g / b * p * ((logp - logq) - kl_rows[:, None])
-        v.grad = v.grad + g / b * (q - p)
-
-    return T.Tensor(val, (u, v), rule)
+    value = float(_as_array(kl_rows.mean()))
+    return value, g / b * p * ((logp - logq) - kl_rows[:, None]), g / b * (q - p)
 
 
-def _disc_penalty(u: T.Tensor, v: T.Tensor, b: int, aux: AuxParams) -> T.Tensor:
+def _disc_penalty(u, v, b: int, aux: AuxParams, g: float):
     # push augmented outputs to read as real and originals as fake, which
     # meets in the middle once the two distributions agree
     w = aux.w
-    d_u = _as_array(u.data @ w + aux.bias)
-    d_v = _as_array(v.data @ w + aux.bias)
-    val = np.logaddexp(0.0, -d_v).mean() + np.logaddexp(0.0, d_u).mean()
-
-    def rule(g):
-        gm = g * (1.0 / b)
-        u.grad = u.grad + (gm / (1.0 + np.exp(-d_u))) @ w.T
-        v.grad = v.grad - (gm / (1.0 + np.exp(d_v))) @ w.T
-
-    return T.Tensor(val, (u, v), rule)
+    d_u = _as_array(u @ w + aux.bias)
+    d_v = _as_array(v @ w + aux.bias)
+    value = float(_as_array(np.logaddexp(0.0, -d_v).mean()
+                            + np.logaddexp(0.0, d_u).mean()))
+    gm = g * (1.0 / b)
+    return value, (gm / (1.0 + np.exp(-d_u))) @ w.T, -((gm / (1.0 + np.exp(d_v))) @ w.T)
 
 
-def penalty(kind: str, u: T.Tensor, v: T.Tensor,
-            aux: Optional[AuxParams] = None) -> T.Tensor:
-    """Scalar alignment penalty between original logits u and augmented v."""
+def penalty(kind: str, u: np.ndarray, v: np.ndarray, aux: Optional[AuxParams],
+            g: float) -> tuple:
+    """Alignment penalty between original logits u and augmented v.
+
+    Returns the penalty's value and the gradients of ``g`` times the
+    penalty with respect to ``u`` and to ``v``.  ``aux`` is the auxiliary
+    of an adversarial kind, None for the others.
+    """
     if kind not in ALIGN_KINDS:
         raise ValueError(f"unknown alignment kind {kind!r}; choose from {ALIGN_KINDS}")
     b = _check_pair(u, v)
     if kind == "l1":
-        return _l1_penalty(u, v, b, np.arange(b))
+        return _l1_penalty(u, v, b, np.arange(b), g)
     if kind == "sql2":
-        return _sql2_penalty(u, v, b)
+        return _sql2_penalty(u, v, b, g)
     if kind == "cos":
-        return _cosine_penalty(u, v, b)
+        return _cosine_penalty(u, v, b, g)
     if kind == "kl":
-        return _kl_penalty(u, v, b)
+        return _kl_penalty(u, v, b, g)
     if kind == "w1-exact":
         # the optimal pairing is held fixed; gradients flow through the
         # matched rows only
-        sigma, _ = w1_matching(u.data, v.data)
-        return _l1_penalty(u, v, b, sigma)
+        sigma, _ = w1_matching(u, v)
+        return _l1_penalty(u, v, b, sigma, g)
     if aux is None or aux.kind != kind:
         raise ValueError(f"kind {kind!r} requires matching auxiliary parameters")
     if aux.w.shape[0] != u.shape[1]:
         raise ShapeError(f"auxiliary width {aux.w.shape[0]} != logit width {u.shape[1]}")
-    return _disc_penalty(u, v, b, aux)
+    return _disc_penalty(u, v, b, aux, g)
 
 
 def discriminator_scores(z: np.ndarray, aux: AuxParams) -> np.ndarray:
@@ -167,7 +147,7 @@ def aux_update(kind: str, u: np.ndarray, v: np.ndarray, aux: AuxParams) -> AuxPa
 
     The discriminator descends binary cross-entropy with originals labeled
     real and augmented samples labeled fake.  Model logits enter as plain
-    arrays; no graph is built.
+    arrays.
     """
     if kind not in AUX_KINDS:
         raise ValueError(f"kind {kind!r} has no auxiliary update")

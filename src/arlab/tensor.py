@@ -1,23 +1,20 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Trainable parameters and the closed-form backward pass of a training step.
 
-A graph node holds a value, its parents and a closed-form backward rule.
-The model's forward pass (``model.logits``), each alignment penalty
-(``regularizers.penalty``) and a training step's loss
-(``training.step_loss``) are one node each, so this module holds no
-generic operations: only the node type, :func:`backward` and the parameter
-collection.  Calling :func:`backward` on a scalar loss walks the graph in
-reverse topological order and accumulates gradients into the leaves.
-Graph-free numpy helpers that share its numerics, such as
+A :class:`Tensor` is one trainable parameter: a float64 array and the
+gradient accumulated into it.  A training step is one formula, so no graph
+is built: the forward pass (``model.logits``) keeps what its gradient needs
+in a record, the step (``training.step_loss``) writes out the gradient of
+its loss with respect to each batch's logits, and :func:`backward` carries
+each logit gradient back through the layers into the parameter gradients.
+Graph-free numpy helpers that share the step's numerics, such as
 :func:`softmax_array`, live here too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
-
-from .errors import ShapeError
 
 
 class NonFiniteError(ValueError):
@@ -32,42 +29,28 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array plus the bookkeeping needed for backpropagation.
+    """A trainable float64 array plus its accumulated gradient.
 
-    ``data`` holds the value, ``grad`` the accumulated gradient of the same
-    shape.  Nodes created by operations carry references to their parents and
-    a local backward rule; nodes created directly (parameters, inputs) are
-    leaves.  Leaf gradients accumulate across :func:`backward` calls until
-    explicitly zeroed, which lets several losses share one subgraph.
+    ``data`` holds the value, ``grad`` the gradient of the same shape.
+    Gradients accumulate across :func:`backward` calls until explicitly
+    zeroed.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, parents: Sequence["Tensor"] = (),
-                 backward_rule: Optional[Callable[[np.ndarray], None]] = None):
+    def __init__(self, data):
         self.data = _as_array(data)
         self.grad = np.zeros_like(self.data)
-        self._parents = tuple(parents)
-        self._backward = backward_rule
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self._parents
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, leaf={self.is_leaf})"
+        return f"Tensor(shape={self.shape})"
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -76,47 +59,30 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_array(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a plain array (no graph node)."""
+    """Row-wise softmax of a plain array."""
     return np.exp(_log_softmax(z))
 
 
-def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss node.
+def backward(passes: Iterable[tuple]) -> None:
+    """Add each pass's parameter gradients to the parameters' ``grad``.
 
-    Gradients of interior nodes are recomputed from scratch on every call;
-    leaf gradients accumulate until zeroed, so two backward passes over
-    shared leaves add up as expected.
+    ``passes`` holds (forward record, logit gradient) pairs: a record from
+    ``model.logits`` and the gradient of the loss with respect to its
+    logits.  Each pass runs back through every layer in closed form, the
+    affine map and then the ReLU mask of the layer below, in the order
+    given.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward needs a scalar root, got shape {loss.shape}")
-
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-
-    for node in order:
-        if not node.is_leaf:
-            node.grad = np.zeros_like(node.data)
-    loss.grad = loss.grad + np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+    for forward, g in passes:
+        for i in reversed(range(len(forward.layers))):
+            w, b = forward.layers[i]
+            b.grad = b.grad + g.sum(axis=0)
+            w.grad = w.grad + forward.inputs[i].T @ g
+            if i > 0:
+                g = (g @ w.data.T) * forward.masks[i - 1]
 
 
 class ParamSet:
-    """Named, insertion-ordered collection of trainable leaf tensors."""
+    """Named, insertion-ordered collection of trainable tensors."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}

@@ -7,22 +7,22 @@ vertex is fixed, so :func:`train` transforms the whole training set under it
 once per call and each step takes its batch's rows of that copy; worst
 cases depend on the current model and are still chosen at every step.
 Aligned variants add a weighted alignment penalty between the two logit
-batches.  A step's graph holds one node for each forward pass, one for the
-penalty and one for the loss, whose backward rule is written out in closed
-form.
+batches.  A step builds no graph: its loss and the loss's gradient with
+respect to each logit batch are written out in closed form, and
+``tensor.backward`` carries those gradients into the parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import tensor as T
 from .datasets import LabeledImages, batches, one_hot
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DegenerateInputError, DivergenceError, ShapeError
 from .model import Classifier, family_logits, init, logits, logits_array
 from .regularizers import AUX_KINDS, ALIGN_KINDS, AuxParams, aux_update, init_aux, penalty
 from .tensor import NonFiniteError, _as_array, _log_softmax, softmax_array
@@ -78,8 +78,8 @@ class TrainPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be a finite nonnegative number, got {self.lam}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be positive")
         self.lr.check(self.epochs)
@@ -150,17 +150,30 @@ def _augmented_copy(plan: TrainPlan, model: Classifier, images: np.ndarray,
     return vertex
 
 
+class Step(NamedTuple):
+    """One training step's loss, ready for ``tensor.backward``.
+
+    ``penalty`` is the alignment penalty's value, None when the plan has
+    none; ``passes`` pairs each forward record with the loss's gradient
+    with respect to its logits.
+    """
+
+    value: float
+    penalty: Optional[float]
+    passes: list
+
+
 def _assemble(plan: TrainPlan, model: Classifier, images: np.ndarray,
               labels: np.ndarray, augmented: Optional[np.ndarray],
-              aux: Optional[AuxParams]):
-    """Build the step's loss node; returns (loss, penalty value or None).
+              aux: Optional[AuxParams]) -> Step:
+    """The step's loss and its logit gradients.
 
     ``augmented`` is the batch's paired copy from ``_augmented_copy``.  The
-    loss is one node over the logits ``u`` (and ``v`` of the copy) and the
-    penalty node: the mean cross-entropy of ``u``, or of ``u`` and ``v``
-    averaged, plus lambda times the penalty.  Each cross-entropy is checked
-    for finite values before the penalty is built, so a diverging step
-    reports divergence rather than an error of the penalty's own.
+    loss is the mean cross-entropy of the logits ``u``, or of ``u`` and
+    ``v`` of the copy averaged, plus lambda times the penalty.  Each
+    cross-entropy is checked for finite values before the penalty is
+    computed, so a diverging step reports divergence rather than an error
+    of the penalty's own.
     """
     b = images.shape[0]
     if b < 1:
@@ -169,39 +182,33 @@ def _assemble(plan: TrainPlan, model: Classifier, images: np.ndarray,
     u = logits(model, images)
     pair = [u] if augmented is None else [u, logits(model, augmented)]
     if model.num_classes < 2:
-        raise ShapeError(f"logits must be (b, k) with k >= 2, got {u.shape}")
-    logps = [_log_softmax(z.data) for z in pair]
+        raise ShapeError(f"logits must be (b, k) with k >= 2, got {u.logits.shape}")
+    logps = [_log_softmax(z.logits) for z in pair]
     ces = [_as_array(-(y * logp).sum() / b) for logp in logps]
     if augmented is None:
         weight, value = 1.0, ces[0]
     else:
         # the pair's mean halves each cross-entropy's gradient
         weight, value = 0.5, (ces[0] + ces[1]) * 0.5
+    # value and gradients repeat, in order, the float operations of the
+    # graph that tests/oracles.py builds from separate cross-entropy, add
+    # and scale nodes (composed_step_loss), so the two match bit for bit:
+    # each logit gradient is the cross-entropy's term plus the penalty's
+    grads = [weight * (np.exp(logp) - y) / b for logp in logps]
     pen = None
     if plan.uses_penalty:
-        pen = penalty(plan.align_kind, u, pair[1], aux)
-        value = value + pen.data * plan.lam
-
-    # value and gradients repeat, in order, the float operations of separate
-    # cross-entropy, add and scale nodes (composed_step_loss in
-    # tests/oracles.py), so the two match bit for bit
-    def rule(g):
-        for z, logp in zip(pair, logps):
-            z.grad = z.grad + (g * weight) * (np.exp(logp) - y) / b
-        if pen is not None:
-            pen.grad = pen.grad + g * plan.lam
-
-    parents = pair if pen is None else [*pair, pen]
-    return T.Tensor(value, parents, rule), None if pen is None else pen.item()
+        pen, gu, gv = penalty(plan.align_kind, u.logits, pair[1].logits, aux, plan.lam)
+        value = value + pen * plan.lam
+        grads = [grads[0] + gu, grads[1] + gv]
+    return Step(float(_as_array(value)), pen, list(zip(pair, grads)))
 
 
 def step_loss(plan: TrainPlan, model: Classifier,
-              batch: tuple, aux: Optional[AuxParams] = None) -> T.Tensor:
-    """Scalar loss node for one (images, labels) batch under the plan."""
+              batch: tuple, aux: Optional[AuxParams] = None) -> Step:
+    """The loss of one (images, labels) batch under the plan."""
     images, labels = batch
     augmented = _augmented_copy(plan, model, images, labels, _vertex_copy(plan, images))
-    loss, _ = _assemble(plan, model, images, labels, augmented, aux)
-    return loss
+    return _assemble(plan, model, images, labels, augmented, aux)
 
 
 def _batch_seed(seed: int, epoch: int) -> int:
@@ -217,6 +224,8 @@ def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
     its batch's rows from that copy.  Worst modes choose and transform their
     copies at every step.
     """
+    if len(data) == 0:
+        raise DegenerateInputError("training needs at least one image")
     widths = (data.images.shape[1] * data.images.shape[2],
               *plan.hidden, data.num_classes)
     model = init(widths, plan.seed)
@@ -239,16 +248,16 @@ def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
                         aux_update(plan.align_kind, logits_array(model, images),
                                    logits_array(model, augmented), aux)
                     model.params.zero_grad()
-                    loss, pen = _assemble(plan, model, images, labels, augmented, aux)
-                    T.backward(loss)
+                    step = _assemble(plan, model, images, labels, augmented, aux)
+                    T.backward(step.passes)
                 except NonFiniteError as exc:
                     raise DivergenceError(
                         f"training diverged (non-finite loss) at epoch {epoch}") from exc
                 for t in model.params.tensors():
                     t.data = t.data - lr * t.grad
-                step_losses.append(loss.item())
-                if pen is not None:
-                    step_pens.append(pen)
+                step_losses.append(step.value)
+                if step.penalty is not None:
+                    step_pens.append(step.penalty)
             losses.append(float(np.mean(step_losses)))
             penalties.append(float(np.mean(step_pens)) if step_pens else 0.0)
     return RunHistory(losses, penalties, model)

@@ -1,13 +1,13 @@
 """Finite-difference gradient oracle used across the test suite.
 
-Independent of the library's backward pass: gradients are estimated by
-central differences on the loss value alone, then compared against whatever
-the graph reports.
+Independent of any backward pass: gradients are estimated by central
+differences on the loss value alone, then compared against what the
+oracle tape (``oracles.backward``) reports for the same graph.
 """
 
 import numpy as np
 
-from arlab.tensor import Tensor, backward
+from oracles import Tensor, backward
 
 
 def numeric_grads(build, arrays, h=1e-4):
@@ -37,7 +37,7 @@ def numeric_grads(build, arrays, h=1e-4):
 
 
 def analytic_grads(build, arrays):
-    """Gradients reported by the library's backward pass."""
+    """Gradients reported by the tape's backward pass."""
     tensors = [Tensor(np.asarray(a, dtype=np.float64)) for a in arrays]
     loss = build(*tensors)
     backward(loss)

@@ -1,11 +1,21 @@
 """Slow or composed reference forms that the library's fast paths must match.
 
+- :class:`Tensor` and :func:`backward` are a reverse-mode tape: a node
+  holds a value, its parents and a backward rule, and :func:`backward`
+  walks the graph in reverse topological order.  The library's parameters
+  (``arlab.tensor.Tensor``) are its leaves.
 - :func:`add`, :func:`scale` and :func:`softmax_cross_entropy` are generic
-  graph nodes.  :func:`composed_step_loss` joins them into a training
-  step's loss: two cross-entropy nodes, their mean through ``add`` and
-  ``scale``, and the penalty through ``scale`` and ``add``.  The library
-  builds the same loss as one node (``training._assemble``), and a test
-  compares the two with ``==``.
+  tape nodes; :func:`logits_node` and :func:`penalty_node` make the
+  model's forward pass and an alignment penalty one node each.
+  :func:`composed_step_loss` joins them into a training step's loss: two
+  cross-entropy nodes, their mean through ``add`` and ``scale``, and the
+  penalty through ``scale`` and ``add``.  The library writes the same
+  step in closed form (``training._assemble``), and tests compare
+  :func:`closed_form_step` with :func:`composed_step` with ``==``.
+- :func:`per_step_reference` is vertex-mode training that transforms each
+  batch under the vertex at every step.
+- :func:`intersect1d_invariance` and :func:`argsort_invariance` score
+  invariance from the whole distance array and a stable sort.
 - :func:`numpy_cross_entropy` is a graph-free mean cross-entropy.
 - :func:`brute_force_w1` is the exact empirical W1 distance, found by
   enumerating every pairing.
@@ -15,20 +25,87 @@ import itertools
 
 import numpy as np
 
+from arlab import tensor as T
+from arlab import training
 from arlab.datasets import one_hot
-from arlab.errors import ShapeError
-from arlab.model import logits
-from arlab.regularizers import penalty
-from arlab.tensor import Tensor, _log_softmax
+from arlab.errors import DivergenceError, ShapeError
+from arlab.model import init, logits, logits_array
+from arlab.regularizers import aux_update, init_aux, penalty
+from arlab.tensor import NonFiniteError, _log_softmax
+from arlab.transforms import apply_batch
 
 
-def _coerce(x) -> Tensor:
-    if isinstance(x, Tensor):
+class Tensor(T.Tensor):
+    """A tape node: a value plus its parents and backward rule, if any.
+
+    A node made directly (no parents) is a leaf, as is every library
+    parameter.  Leaf gradients accumulate across :func:`backward` calls
+    until explicitly zeroed, which lets several losses share one subgraph.
+    """
+
+    __slots__ = ("_parents", "_backward")
+
+    def __init__(self, data, parents=(), backward_rule=None):
+        super().__init__(data)
+        self._parents = tuple(parents)
+        self._backward = backward_rule
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self._parents
+
+    def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeError(f"item() on tensor of shape {self.shape}")
+        return float(self.data.reshape(()))
+
+
+def _parents(node) -> tuple:
+    return getattr(node, "_parents", ())
+
+
+def backward(loss: Tensor) -> None:
+    """Backpropagate from a scalar loss node.
+
+    Gradients of interior nodes are recomputed from scratch on every call;
+    leaf gradients accumulate until zeroed.
+    """
+    if loss.data.size != 1:
+        raise ShapeError(f"backward needs a scalar root, got shape {loss.shape}")
+
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in _parents(node):
+            if id(parent) not in seen:
+                stack.append((parent, False))
+
+    for node in order:
+        if _parents(node):
+            node.grad = np.zeros_like(node.data)
+    loss.grad = loss.grad + np.ones_like(loss.data)
+    for node in reversed(order):
+        rule = getattr(node, "_backward", None)
+        if rule is not None:
+            rule(node.grad)
+
+
+def _coerce(x) -> T.Tensor:
+    if isinstance(x, T.Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: T.Tensor, g: np.ndarray) -> None:
     # reduce a full-shape gradient back down for a scalar operand
     if t.data.ndim == 0:
         t.grad = t.grad + np.sum(g)
@@ -94,22 +171,147 @@ def softmax_cross_entropy(logits_node, labels: np.ndarray) -> Tensor:
     return Tensor(loss, (z,), rule)
 
 
+def logits_node(model, images) -> Tensor:
+    """The model's forward pass as one node whose parents are its parameters.
+
+    The rule runs back through every layer: the affine map, then the ReLU
+    mask of the layer below.
+    """
+    forward = logits(model, images)
+
+    def rule(g):
+        for i in reversed(range(model.num_layers)):
+            w, b = model.layer(i)
+            b.grad = b.grad + g.sum(axis=0)
+            w.grad = w.grad + forward.inputs[i].T @ g
+            if i > 0:
+                g = (g @ w.data.T) * forward.masks[i - 1]
+
+    return Tensor(forward.logits, model.params.tensors(), rule)
+
+
+def penalty_node(kind, u, v, aux=None) -> Tensor:
+    """An alignment penalty as one node over the logit pair.
+
+    Its rule takes the gradients of ``g`` times the penalty from the
+    library's closed form, with the upstream gradient ``g``.
+    """
+    u, v = _coerce(u), _coerce(v)
+    value, _, _ = penalty(kind, u.data, v.data, aux, 1.0)
+
+    def rule(g):
+        _, gu, gv = penalty(kind, u.data, v.data, aux, g)
+        u.grad = u.grad + gu
+        v.grad = v.grad + gv
+
+    return Tensor(value, (u, v), rule)
+
+
 def composed_step_loss(plan, model, images, labels, augmented, aux=None):
-    """A step's loss built from generic nodes; returns (loss, penalty or None).
+    """A step's loss built from tape nodes; returns (loss, penalty or None).
 
     Takes the same arguments as ``training._assemble``: ``augmented`` is the
     batch's paired copy, or None for a baseline step.
     """
     y = one_hot(labels, model.num_classes)
-    u = logits(model, images)
+    u = logits_node(model, images)
     if augmented is None:
         return softmax_cross_entropy(u, y), None
-    v = logits(model, augmented)
+    v = logits_node(model, augmented)
     ce = scale(add(softmax_cross_entropy(u, y), softmax_cross_entropy(v, y)), 0.5)
     if not plan.uses_penalty:
         return ce, None
-    pen = penalty(plan.align_kind, u, v, aux)
+    pen = penalty_node(plan.align_kind, u, v, aux)
     return add(ce, scale(pen, plan.lam)), pen.item()
+
+
+def composed_step(plan, model, images, labels, augmented, aux):
+    """Backpropagate :func:`composed_step_loss` on the tape; returns (loss, penalty)."""
+    loss, pen = composed_step_loss(plan, model, images, labels, augmented, aux)
+    backward(loss)
+    return loss.item(), pen
+
+
+def closed_form_step(plan, model, images, labels, augmented, aux):
+    """The library's step, ``training._assemble`` and one ``tensor.backward``.
+
+    Returns (loss, penalty), as :func:`composed_step` does.
+    """
+    step = training._assemble(plan, model, images, labels, augmented, aux)
+    T.backward(step.passes)
+    return step.value, step.penalty
+
+
+def per_step_reference(plan, data, step=closed_form_step):
+    """Reference for vertex-mode ``train``: each step draws its rows from
+    the same seeded shuffle and transforms its own batch under the vertex.
+    ``step`` fills the parameter gradients and returns (loss, penalty), as
+    :func:`closed_form_step` does."""
+    widths = (data.images.shape[1] * data.images.shape[2], *plan.hidden,
+              data.num_classes)
+    model = init(widths, plan.seed)
+    aux = (init_aux(plan.align_kind, data.num_classes, plan.seed)
+           if plan.needs_aux else None)
+    losses, penalties = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(plan.epochs):
+            lr = plan.lr.at(epoch)
+            perm = np.random.default_rng(plan.seed * 1_000_003 + epoch).permutation(len(data))
+            step_losses, step_pens = [], []
+            for start in range(0, len(data), plan.batch_size):
+                idx = perm[start:start + plan.batch_size]
+                images, labels = data.images[idx], data.labels[idx]
+                try:
+                    augmented = apply_batch(plan.family.training_vertex(), images)
+                    if aux is not None:
+                        aux_update(plan.align_kind, logits_array(model, images),
+                                   logits_array(model, augmented), aux)
+                    model.params.zero_grad()
+                    loss, pen = step(plan, model, images, labels, augmented, aux)
+                except NonFiniteError as exc:
+                    raise DivergenceError(
+                        f"training diverged (non-finite loss) at epoch {epoch}") from exc
+                for t in model.params.tensors():
+                    t.data = t.data - lr * t.grad
+                step_losses.append(loss)
+                if pen is not None:
+                    step_pens.append(pen)
+            losses.append(float(np.mean(step_losses)))
+            penalties.append(float(np.mean(step_pens)) if step_pens else 0.0)
+    return training.RunHistory(losses, penalties, model)
+
+
+def intersect1d_invariance(cube, labels, num_classes):
+    """Oracle: each sample's own copies intersected with its t nearest."""
+    t = cube.shape[0]
+    scores = np.zeros(num_classes)
+    for cls in range(num_classes):
+        members = np.flatnonzero(labels == cls)
+        m = members.size
+        query = cube[0, members]
+        pool = cube[:, members].reshape(t * m, -1)
+        dists = np.abs(query[:, None, :] - pool[None, :, :]).sum(axis=2)
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, :t]
+        own = np.arange(m)[:, None] + m * np.arange(t)[None, :]
+        overlap = [np.intersect1d(nearest[s], own[s]).size for s in range(m)]
+        scores[cls] = np.mean(overlap) / t
+    return scores
+
+
+def argsort_invariance(cube, labels, num_classes):
+    """Oracle: the whole (m, m*t, k) difference array and a stable sort per class."""
+    t = cube.shape[0]
+    scores = np.zeros(num_classes)
+    for cls in range(num_classes):
+        members = np.flatnonzero(labels == cls)
+        m = members.size
+        query = cube[0, members]
+        pool = cube[:, members].reshape(t * m, -1)
+        dists = np.abs(query[:, None, :] - pool[None, :, :]).sum(axis=2)
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, :t]
+        overlap = (nearest % m == np.arange(m)[:, None]).sum(axis=1)
+        scores[cls] = np.mean(overlap) / t
+    return scores
 
 
 def numpy_cross_entropy(z, y):

@@ -63,14 +63,14 @@ def row_data(rows, labels, k: int) -> LabeledImages:
 
 
 def _fd_loss_value(plan, model, batch, aux) -> float:
-    return step_loss(plan, model, batch, aux).item()
+    return step_loss(plan, model, batch, aux).value
 
 
 def _sampled_coordinate_check(plan, model, batch, aux, coords_per_mode=24,
                               h=1e-4):
     """Worst relative error over randomly sampled parameter coordinates."""
     loss = step_loss(plan, model, batch, aux)
-    backward(loss)
+    backward(loss.passes)
     entries = list(model.params.items())
     sizes = np.array([t.data.size for _, t in entries])
     bounds = np.cumsum(sizes)

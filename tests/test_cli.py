@@ -292,6 +292,18 @@ class TestTrain:
         assert "shape 8x32, but the train split has 16x16" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_train_split_exits_2_before_training(self, tmp_path, capsys):
+        empty = LabeledImages(np.zeros((0, 16, 16)), np.zeros(0, dtype=np.int64), 10)
+        images_path, labels_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        save_idx(empty, images_path, labels_path)
+        config_path, out = write_config(
+            tmp_path, dataset={"kind": "idx", "images": str(images_path),
+                               "labels": str(labels_path)},
+            eval_dataset={"kind": "minidigits", "n": 40, "seed": 1})
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "the train split holds no images" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_splits_are_built_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 

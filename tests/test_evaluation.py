@@ -29,6 +29,8 @@ from arlab.transforms import (
     family_by_name,
 )
 
+from oracles import argsort_invariance, intersect1d_invariance
+
 
 def onehot_data(labels, k=10):
     """Images are one-hot rows of their own label; trivially separable."""
@@ -150,23 +152,6 @@ def test_invariance_within_floor_and_ceiling():
             assert 1 / len(fam) <= score <= 1.0
 
 
-def intersect1d_invariance(cube, labels, num_classes):
-    """Oracle: each sample's own copies intersected with its t nearest."""
-    t = cube.shape[0]
-    scores = np.zeros(num_classes)
-    for cls in range(num_classes):
-        members = np.flatnonzero(labels == cls)
-        m = members.size
-        query = cube[0, members]
-        pool = cube[:, members].reshape(t * m, -1)
-        dists = np.abs(query[:, None, :] - pool[None, :, :]).sum(axis=2)
-        nearest = np.argsort(dists, axis=1, kind="stable")[:, :t]
-        own = np.arange(m)[:, None] + m * np.arange(t)[None, :]
-        overlap = [np.intersect1d(nearest[s], own[s]).size for s in range(m)]
-        scores[cls] = np.mean(overlap) / t
-    return scores
-
-
 @pytest.mark.parametrize("values", [2, 1])
 def test_invariance_overlap_matches_set_intersection_under_ties(values):
     # logits drawn from {0, 1} tie most distances, and all-zero logits tie
@@ -176,22 +161,6 @@ def test_invariance_overlap_matches_set_intersection_under_ties(values):
     cube = rng.integers(0, values, size=(4, 60, 3)).astype(np.float64)
     expect = intersect1d_invariance(cube, labels, 3)
     assert np.array_equal(invariance_per_class(cube, labels, 3), expect)
-
-
-def argsort_invariance(cube, labels, num_classes):
-    """Oracle: the whole (m, m*t, k) difference array and a stable sort per class."""
-    t = cube.shape[0]
-    scores = np.zeros(num_classes)
-    for cls in range(num_classes):
-        members = np.flatnonzero(labels == cls)
-        m = members.size
-        query = cube[0, members]
-        pool = cube[:, members].reshape(t * m, -1)
-        dists = np.abs(query[:, None, :] - pool[None, :, :]).sum(axis=2)
-        nearest = np.argsort(dists, axis=1, kind="stable")[:, :t]
-        overlap = (nearest % m == np.arange(m)[:, None]).sum(axis=1)
-        scores[cls] = np.mean(overlap) / t
-    return scores
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from arlab.model import (
 from arlab.transforms import apply_batch, family_by_name
 
 from gradcheck import numeric_grads
-from oracles import numpy_cross_entropy, softmax_cross_entropy
+from oracles import numpy_cross_entropy
 
 
 def small_model(seed=0):
@@ -55,7 +55,7 @@ def test_init_rejects_missing_hidden_layer():
 def test_zero_input_gives_zero_logits():
     m = small_model()
     out = logits(m, np.zeros((2, 4, 4)))
-    assert np.array_equal(out.data, np.zeros((2, 3)))
+    assert np.array_equal(out.logits, np.zeros((2, 3)))
 
 
 def test_logits_shape_mismatch_raises():
@@ -69,8 +69,8 @@ def test_logits_shape_mismatch_raises():
 def test_batch_independence():
     m = small_model()
     imgs = rand_images(8)
-    full = logits(m, imgs).data
-    single = logits(m, imgs[3:4]).data
+    full = logits(m, imgs).logits
+    single = logits(m, imgs[3:4]).logits
     assert np.allclose(full[3], single[0], atol=1e-12)
 
 
@@ -78,13 +78,13 @@ def test_permuting_rows_permutes_logits():
     m = small_model()
     imgs = rand_images(6)
     perm = np.array([4, 0, 5, 2, 1, 3])
-    assert np.allclose(logits(m, imgs[perm]).data, logits(m, imgs).data[perm])
+    assert np.allclose(logits(m, imgs[perm]).logits, logits(m, imgs).logits[perm])
 
 
 def test_logits_array_matches_graph_forward():
     m = small_model()
     imgs = rand_images(5)
-    assert np.allclose(logits_array(m, imgs), logits(m, imgs).data, atol=1e-12)
+    assert np.allclose(logits_array(m, imgs), logits(m, imgs).logits, atol=1e-12)
 
 
 def test_parameter_gradients_match_finite_differences():
@@ -94,8 +94,8 @@ def test_parameter_gradients_match_finite_differences():
     names = [name for name, _ in m.params.items()]
 
     def build(*param_tensors):
-        # the numeric side never touches the graph: a graph-free forward
-        # pass and a numpy cross-entropy
+        # the numeric side never touches a backward pass: the evaluation
+        # forward pass and a numpy cross-entropy
         params = T.ParamSet()
         for name, t in zip(names, param_tensors):
             params.add(name, t)
@@ -105,8 +105,9 @@ def test_parameter_gradients_match_finite_differences():
     arrays = [t.data for t in m.params.tensors()]
     numeric = numeric_grads(build, arrays, h=1e-5)
 
-    loss = softmax_cross_entropy(logits(m, imgs), y)
-    T.backward(loss)
+    # the mean cross-entropy's gradient with respect to the logits
+    forward = logits(m, imgs)
+    T.backward([(forward, (T.softmax_array(forward.logits) - y) / len(y))])
     checked = 0
     for (_, t), num in zip(m.params.items(), numeric):
         scale = np.maximum(np.abs(num), np.abs(t.grad))
@@ -117,10 +118,16 @@ def test_parameter_gradients_match_finite_differences():
 
 
 def test_logits_node_has_the_parameters_as_parents():
+    # the forward record keeps the model's own parameters, layer by layer,
+    # and each layer's input, for tensor.backward
     m = small_model()
-    node = logits(m, rand_images(4))
-    assert len(node._parents) == len(m.params.tensors())
-    assert all(p is t for p, t in zip(node._parents, m.params.tensors()))
+    imgs = rand_images(4)
+    forward = logits(m, imgs)
+    kept = [t for layer in forward.layers for t in layer]
+    assert len(kept) == len(m.params.tensors())
+    assert all(p is t for p, t in zip(kept, m.params.tensors()))
+    assert np.array_equal(forward.inputs[0], imgs.reshape(4, -1))
+    assert [mask.shape for mask in forward.masks] == [(4, 8), (4, 5)]
 
 
 def test_non_finite_pre_activation_hidden_by_relu_still_raises():

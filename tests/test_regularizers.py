@@ -11,10 +11,10 @@ from arlab.regularizers import (
     init_aux,
     penalty,
 )
-from arlab.tensor import Tensor, backward, softmax_array
+from arlab.tensor import softmax_array
 
 from gradcheck import max_rel_error
-from oracles import brute_force_w1
+from oracles import brute_force_w1, penalty_node
 
 
 def pair(seed=0, b=4, k=3, spread=1.0):
@@ -22,25 +22,29 @@ def pair(seed=0, b=4, k=3, spread=1.0):
     return rng.normal(size=(b, k)) * spread, rng.normal(size=(b, k)) * spread
 
 
+def value(kind, u, v, aux=None):
+    return penalty(kind, np.asarray(u, dtype=np.float64),
+                   np.asarray(v, dtype=np.float64), aux, 1.0)[0]
+
+
 def test_identical_inputs_give_zero_penalty():
     u, _ = pair()
     for kind in ("l1", "sql2", "cos", "w1-exact", "kl"):
-        val = penalty(kind, Tensor(u), Tensor(u.copy())).item()
+        val = value(kind, u, u.copy())
         assert val == pytest.approx(0.0, abs=1e-12), kind
 
 
 def test_hand_arithmetic_l1_sql2():
-    u = Tensor([[1.0, 2.0]])
-    v = Tensor([[1.0, 0.0]])
-    assert penalty("l1", u, v).item() == pytest.approx(2.0)
-    assert penalty("sql2", u, v).item() == pytest.approx(4.0)
+    u = [[1.0, 2.0]]
+    v = [[1.0, 0.0]]
+    assert value("l1", u, v) == pytest.approx(2.0)
+    assert value("sql2", u, v) == pytest.approx(4.0)
 
 
 def test_penalties_are_batch_means():
     u, v = pair(1, b=6)
-    single = [penalty("l1", Tensor(u[i:i + 1]), Tensor(v[i:i + 1])).item()
-              for i in range(6)]
-    assert penalty("l1", Tensor(u), Tensor(v)).item() == pytest.approx(np.mean(single))
+    single = [value("l1", u[i:i + 1], v[i:i + 1]) for i in range(6)]
+    assert value("l1", u, v) == pytest.approx(np.mean(single))
 
 
 def test_w1_exact_matches_brute_force():
@@ -48,7 +52,7 @@ def test_w1_exact_matches_brute_force():
     for _ in range(10):
         u = rng.normal(size=(5, 3))
         v = rng.normal(size=(5, 3))
-        val = penalty("w1-exact", Tensor(u), Tensor(v)).item()
+        val = value("w1-exact", u, v)
         assert val * 5 == pytest.approx(brute_force_w1(u, v), abs=1e-9)
 
 
@@ -56,19 +60,19 @@ def test_w1_exact_row_permutation_invariant_and_symmetric():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(5, 4))
     v = rng.normal(size=(5, 4))
-    base = penalty("w1-exact", Tensor(u), Tensor(v)).item()
-    shuffled = penalty("w1-exact", Tensor(u[::-1].copy()), Tensor(v)).item()
-    swapped = penalty("w1-exact", Tensor(v), Tensor(u)).item()
+    base = value("w1-exact", u, v)
+    shuffled = value("w1-exact", u[::-1].copy(), v)
+    swapped = value("w1-exact", v, u)
     assert shuffled == pytest.approx(base, rel=1e-12)
     assert swapped == pytest.approx(base, rel=1e-12)
-    assert penalty("w1-exact", Tensor(u), Tensor(u[::-1].copy())).item() == pytest.approx(0.0, abs=1e-12)
+    assert value("w1-exact", u, u[::-1].copy()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_positive_and_shift_invariant():
     u, v = pair(4)
-    val = penalty("kl", Tensor(u), Tensor(v)).item()
+    val = value("kl", u, v)
     assert val > 0.0
-    shifted = penalty("kl", Tensor(u), Tensor(u + 2.5)).item()
+    shifted = value("kl", u, u + 2.5)
     assert shifted == pytest.approx(0.0, abs=1e-12)
 
 
@@ -76,30 +80,30 @@ def test_kl_matches_direct_formula():
     u, v = pair(5, b=3, k=4)
     p, q = softmax_array(u), softmax_array(v)
     expect = np.mean((p * (np.log(p) - np.log(q))).sum(axis=1))
-    assert penalty("kl", Tensor(u), Tensor(v)).item() == pytest.approx(expect, rel=1e-12)
+    assert value("kl", u, v) == pytest.approx(expect, rel=1e-12)
 
 
 def test_cosine_bounds_and_alignment():
     u, _ = pair(6)
-    assert penalty("cos", Tensor(u), Tensor(2.0 * u)).item() == pytest.approx(0.0, abs=1e-12)
-    assert penalty("cos", Tensor(u), Tensor(-u)).item() == pytest.approx(2.0, rel=1e-12)
+    assert value("cos", u, 2.0 * u) == pytest.approx(0.0, abs=1e-12)
+    assert value("cos", u, -u) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_cosine_rejects_zero_rows():
     u = np.zeros((2, 3))
     u[1] = 1.0
     with pytest.raises(DegenerateInputError):
-        penalty("cos", Tensor(u), Tensor(np.ones((2, 3))))
+        value("cos", u, np.ones((2, 3)))
 
 
 def test_penalty_validation():
     u, v = pair(7)
     with pytest.raises(ValueError):
-        penalty("manhattan", Tensor(u), Tensor(v))
+        value("manhattan", u, v)
     with pytest.raises(ShapeError):
-        penalty("l1", Tensor(u), Tensor(v[:2]))
+        value("l1", u, v[:2])
     with pytest.raises(ValueError):
-        penalty("disc", Tensor(u), Tensor(v))
+        value("disc", u, v)
 
 
 @pytest.mark.parametrize("kind", ["l1", "sql2", "cos", "kl"])
@@ -107,7 +111,7 @@ def test_gradients_match_finite_differences(kind):
     # rows kept well apart so l1 stays away from its kinks
     u = np.array([[1.0, -2.0, 0.5], [3.0, 0.8, -1.2]])
     v = np.array([[-0.5, 1.5, 2.0], [0.3, -1.1, 0.9]])
-    err = max_rel_error(lambda a, b: penalty(kind, a, b), [u, v], h=1e-5)
+    err = max_rel_error(lambda a, b: penalty_node(kind, a, b), [u, v], h=1e-5)
     assert err < 1e-4, kind
 
 
@@ -116,7 +120,7 @@ def test_w1_exact_gradient_with_frozen_matching():
     # finite-difference probes
     u = np.array([[0.0, 0.0], [10.0, 10.0], [-10.0, 5.0]])
     v = np.array([[11.0, 9.0], [0.5, -0.5], [-9.0, 6.0]])
-    err = max_rel_error(lambda a, b: penalty("w1-exact", a, b), [u, v], h=1e-5)
+    err = max_rel_error(lambda a, b: penalty_node("w1-exact", a, b), [u, v], h=1e-5)
     assert err < 1e-4
 
 
@@ -127,7 +131,7 @@ def test_identity_pairing_used_when_rows_are_each_others_nearest():
     centers = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0], [50.0, 50.0]])
     u = centers + rng.normal(scale=0.1, size=centers.shape)
     v = centers + rng.normal(scale=0.1, size=centers.shape)
-    val = penalty("w1-exact", Tensor(u), Tensor(v)).item()
+    val = value("w1-exact", u, v)
     assert val * 4 == pytest.approx(np.abs(u - v).sum(), abs=1e-9)
 
 
@@ -137,32 +141,34 @@ def test_disc_penalty_formula_and_gradient():
     d_u = discriminator_scores(u, aux)
     d_v = discriminator_scores(v, aux)
     expect = np.mean(np.logaddexp(0.0, -d_v)) + np.mean(np.logaddexp(0.0, d_u))
-    node = penalty("disc", Tensor(u), Tensor(v), aux)
-    assert node.item() == pytest.approx(expect, rel=1e-12)
+    assert value("disc", u, v, aux) == pytest.approx(expect, rel=1e-12)
 
-    err = max_rel_error(lambda a, b: penalty("disc", a, b, aux), [u, v], h=1e-5)
+    err = max_rel_error(lambda a, b: penalty_node("disc", a, b, aux), [u, v], h=1e-5)
     assert err < 1e-4
 
 
 def test_penalty_gradients_reach_model_side():
     u, v = pair(11)
-    ut, vt = Tensor(u), Tensor(v)
     for kind in ("l1", "sql2", "cos", "kl", "w1-exact"):
-        ut.zero_grad()
-        vt.zero_grad()
-        backward(penalty(kind, ut, vt))
-        assert np.any(ut.grad != 0.0), kind
-        assert np.any(vt.grad != 0.0), kind
+        _, gu, gv = penalty(kind, u, v, None, 1.0)
+        assert np.any(gu != 0.0), kind
+        assert np.any(gv != 0.0), kind
 
 
 @pytest.mark.parametrize("kind", ALIGN_KINDS)
 def test_each_penalty_is_one_node_over_the_logit_pair(kind):
+    # one closed-form call over the plain logit pair: the value, then the
+    # gradients of g times the penalty, which scale with g
     u, v = pair(12)
-    ut, vt = Tensor(u), Tensor(v)
+    before = u.copy(), v.copy()
     aux = init_aux(kind, 3, seed=2) if kind in AUX_KINDS else None
-    node = penalty(kind, ut, vt, aux)
-    assert len(node._parents) == 2
-    assert node._parents[0] is ut and node._parents[1] is vt
+    val, gu, gv = penalty(kind, u, v, aux, 1.0)
+    assert isinstance(val, float)
+    assert gu.shape == u.shape and gv.shape == v.shape
+    val2, gu2, gv2 = penalty(kind, u, v, aux, 2.0)
+    assert val2 == val
+    assert np.array_equal(gu2, 2.0 * gu) and np.array_equal(gv2, 2.0 * gv)
+    assert np.array_equal(u, before[0]) and np.array_equal(v, before[1])
 
 
 def test_discriminator_stays_at_chance_on_identical_distributions():

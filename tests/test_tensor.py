@@ -1,18 +1,20 @@
-"""The graph engine: nodes, ``backward`` and ``ParamSet``.
+"""Parameters, ``ParamSet`` and the oracle tape.
 
-The library holds no generic nodes, so the graphs built here take theirs
-(``add``, ``scale``, ``softmax_cross_entropy``) from the test oracles; the
-checks on those nodes keep the oracles honest.
+The library builds no graph, so the graphs here are built on the oracle
+tape (``Tensor``, ``backward``, ``add``, ``scale`` and
+``softmax_cross_entropy`` from the test oracles) that the closed-form
+training step is checked against; these checks keep the tape honest.
 """
 
 import numpy as np
 import pytest
 
+from arlab import tensor as T
 from arlab.errors import ShapeError
-from arlab.tensor import NonFiniteError, ParamSet, Tensor, backward, softmax_array
+from arlab.tensor import NonFiniteError, ParamSet, softmax_array
 
 from gradcheck import max_rel_error
-from oracles import add, scale, softmax_cross_entropy
+from oracles import Tensor, add, backward, scale, softmax_cross_entropy
 
 
 def test_binary_ops_reject_nonscalar_broadcast():
@@ -21,6 +23,8 @@ def test_binary_ops_reject_nonscalar_broadcast():
 
 
 def test_nonfinite_construction_rejected():
+    with pytest.raises(NonFiniteError):
+        T.Tensor([1.0, np.inf])
     with pytest.raises(NonFiniteError):
         Tensor([1.0, np.inf])
 
@@ -184,11 +188,11 @@ def test_diamond_graph_gradient():
 
 def test_param_set_ordering_and_uniqueness():
     ps = ParamSet()
-    ps.add("w1", Tensor(np.ones(2)))
-    ps.add("b1", Tensor(np.zeros(2)))
+    ps.add("w1", T.Tensor(np.ones(2)))
+    ps.add("b1", T.Tensor(np.zeros(2)))
     assert [name for name, _ in ps.items()] == ["w1", "b1"]
     with pytest.raises(ValueError):
-        ps.add("w1", Tensor(np.ones(1)))
+        ps.add("w1", T.Tensor(np.ones(1)))
     for t in ps.tensors():
         t.grad = np.ones_like(t.data)
     ps.zero_grad()

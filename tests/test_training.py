@@ -5,11 +5,11 @@ import pytest
 
 from arlab import training
 from arlab.datasets import gen_minidigits, one_hot
-from arlab.errors import ConfigError, DivergenceError
+from arlab.errors import ConfigError, DegenerateInputError, DivergenceError
 from arlab.evaluation import accuracy
 from arlab.model import family_logits, init, logits_array
 from arlab.regularizers import ALIGN_KINDS, aux_update, init_aux
-from arlab.tensor import NonFiniteError, Tensor, backward, softmax_array
+from arlab.tensor import NonFiniteError, Tensor, softmax_array
 from arlab.training import (
     DEFAULT_SEEDS,
     LrSchedule,
@@ -30,7 +30,13 @@ from arlab.transforms import (
     family_texture,
 )
 
-from oracles import composed_step_loss, numpy_cross_entropy
+from oracles import (
+    closed_form_step,
+    composed_step,
+    composed_step_loss,
+    numpy_cross_entropy,
+    per_step_reference,
+)
 
 
 def plan_for(mode, **kw):
@@ -88,7 +94,7 @@ def test_step_loss_baseline_matches_hand_ce():
     loss = step_loss(plan_for("baseline"), m, (data.images, data.labels))
     expect = np.mean([per_sample_ce(m, data.images[i], data.labels[i])
                       for i in range(2)])
-    assert loss.item() == pytest.approx(expect, rel=1e-12)
+    assert loss.value == pytest.approx(expect, rel=1e-12)
 
 
 def test_step_loss_zero_lambda_vertex_equals_vanilla():
@@ -97,7 +103,7 @@ def test_step_loss_zero_lambda_vertex_equals_vanilla():
     batch = (data.images, data.labels)
     vanilla = step_loss(plan_for("vanilla-aug"), m, batch)
     aligned = step_loss(plan_for("aligned-vertex", lam=0.0, align_kind="sql2"), m, batch)
-    assert aligned.item() == vanilla.item()
+    assert aligned.value == vanilla.value
 
 
 def test_step_loss_vanilla_aug_uses_training_vertex():
@@ -109,7 +115,7 @@ def test_step_loss_vanilla_aug_uses_training_vertex():
     ce_x = numpy_cross_entropy(logits_array(m, data.images), y)
     aug = apply_batch(fam.training_vertex(), data.images)
     ce_v = numpy_cross_entropy(logits_array(m, aug), y)
-    assert loss.item() == pytest.approx(0.5 * (ce_x + ce_v), rel=1e-12)
+    assert loss.value == pytest.approx(0.5 * (ce_x + ce_v), rel=1e-12)
 
 
 def test_step_loss_aligned_worst_independent_recomputation():
@@ -129,7 +135,7 @@ def test_step_loss_aligned_worst_independent_recomputation():
     ce_v = numpy_cross_entropy(v, y)
     pen = np.mean(((u - v) ** 2).sum(axis=1))
     expect = 0.5 * (ce_x + ce_v) + lam * pen
-    assert loss.item() == pytest.approx(expect, abs=1e-10)
+    assert loss.value == pytest.approx(expect, abs=1e-10)
 
 
 def test_step_loss_leaves_labels_untouched():
@@ -152,6 +158,10 @@ def test_plan_validation():
         plan_for("baseline", epochs=0)
     with pytest.raises(ConfigError):
         plan_for("aligned-vertex", lam=0.5, align_kind="huber")
+    for lam in (float("nan"), float("inf")):
+        # a NaN lambda would otherwise train without its penalty
+        with pytest.raises(ConfigError, match="finite nonnegative"):
+            plan_for("aligned-vertex", lam=lam, align_kind="sql2")
     with pytest.raises(ConfigError):
         LrSchedule(0.0)
 
@@ -195,6 +205,12 @@ def test_train_baseline_fits_minidigits():
     assert accuracy(logits_array(hist.model, data.images), data.labels) > 0.9
 
 
+def test_train_rejects_empty_data():
+    empty = small_data(8).subset(np.arange(0))
+    with pytest.raises(DegenerateInputError, match="at least one image"):
+        train(plan_for("aligned-vertex", lam=0.1, align_kind="sql2"), empty)
+
+
 def test_train_zero_lambda_trajectories_identical():
     data = small_data(48, seed=10)
     vanilla = train(plan_for("vanilla-aug", epochs=2), data)
@@ -225,45 +241,6 @@ def test_train_aux_kinds_run_and_stay_clipped():
     hist = train(plan, data)
     assert len(hist.losses) == 2
     assert np.all(np.isfinite(hist.model.params["w0"].data))
-
-
-def per_step_reference(plan, data, assemble=training._assemble):
-    """Reference for vertex-mode ``train``: each step draws its rows from
-    the same seeded shuffle and transforms its own batch under the vertex.
-    ``assemble`` builds each step's loss, as ``training._assemble`` does."""
-    widths = (data.images.shape[1] * data.images.shape[2], *plan.hidden,
-              data.num_classes)
-    model = init(widths, plan.seed)
-    aux = (init_aux(plan.align_kind, data.num_classes, plan.seed)
-           if plan.needs_aux else None)
-    losses, penalties = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(plan.epochs):
-            lr = plan.lr.at(epoch)
-            perm = np.random.default_rng(plan.seed * 1_000_003 + epoch).permutation(len(data))
-            step_losses, step_pens = [], []
-            for start in range(0, len(data), plan.batch_size):
-                idx = perm[start:start + plan.batch_size]
-                images, labels = data.images[idx], data.labels[idx]
-                try:
-                    augmented = apply_batch(plan.family.training_vertex(), images)
-                    if aux is not None:
-                        aux_update(plan.align_kind, logits_array(model, images),
-                                   logits_array(model, augmented), aux)
-                    model.params.zero_grad()
-                    loss, pen = assemble(plan, model, images, labels, augmented, aux)
-                    backward(loss)
-                except NonFiniteError as exc:
-                    raise DivergenceError(
-                        f"training diverged (non-finite loss) at epoch {epoch}") from exc
-                for t in model.params.tensors():
-                    t.data = t.data - lr * t.grad
-                step_losses.append(loss.item())
-                if pen is not None:
-                    step_pens.append(pen)
-            losses.append(float(np.mean(step_losses)))
-            penalties.append(float(np.mean(step_pens)) if step_pens else 0.0)
-    return training.RunHistory(losses, penalties, model)
 
 
 VERTEX_CELLS = [("vanilla-aug", 0.0, None), ("aligned-vertex", 0.1, "sql2"),
@@ -305,7 +282,7 @@ def test_diverging_cell_fails_like_the_composed_step():
     with pytest.raises(DivergenceError) as got:
         train(plan, data)
     with pytest.raises(DivergenceError) as want:
-        per_step_reference(plan, data, composed_step_loss)
+        per_step_reference(plan, data, composed_step)
     assert str(got.value) == str(want.value)
     assert "epoch 0" not in str(got.value)
 
@@ -315,8 +292,8 @@ STEP_CELLS = [("baseline", 0.0, None), ("vanilla-aug", 0.0, None),
               *[(mode, 0.1, kind) for mode in training.ALIGNED_MODES for kind in ALIGN_KINDS]]
 
 
-def sgd_steps(plan, data, assemble, batch_size=16):
-    """One epoch of SGD in row order, each loss built by ``assemble``.
+def sgd_steps(plan, data, step, batch_size=16):
+    """One epoch of SGD in row order, each step's gradients filled by ``step``.
 
     Returns every step's loss value, penalty value and parameter gradients.
     """
@@ -333,9 +310,8 @@ def sgd_steps(plan, data, assemble, batch_size=16):
             aux_update(plan.align_kind, logits_array(model, images),
                        logits_array(model, augmented), aux)
         model.params.zero_grad()
-        loss, pen = assemble(plan, model, images, labels, augmented, aux)
-        backward(loss)
-        steps.append((loss.item(), pen, [t.grad.copy() for t in model.params.tensors()]))
+        loss, pen = step(plan, model, images, labels, augmented, aux)
+        steps.append((loss, pen, [t.grad.copy() for t in model.params.tensors()]))
         for t in model.params.tensors():
             t.data = t.data - plan.lr.at(0) * t.grad
     return steps
@@ -346,8 +322,8 @@ def sgd_steps(plan, data, assemble, batch_size=16):
 def test_one_node_step_matches_the_composed_step(family, mode, lam, kind):
     data = gen_minidigits(40, seed=18)
     plan = plan_for(mode, family=family_by_name(family, 16), lam=lam, align_kind=kind)
-    got = sgd_steps(plan, data, training._assemble)
-    want = sgd_steps(plan, data, composed_step_loss)
+    got = sgd_steps(plan, data, closed_form_step)
+    want = sgd_steps(plan, data, composed_step)
     assert len(got) == 3
     for (loss, pen, grads), (loss_ref, pen_ref, grads_ref) in zip(got, want):
         assert loss == loss_ref
@@ -380,11 +356,15 @@ def test_non_finite_cross_entropy_fails_before_the_penalty(assemble):
     ("baseline", 0.0, None, 2), ("vanilla-worst", 0.0, None, 3),
     ("aligned-vertex", 0.1, "sql2", 4), ("aligned-worst", 0.1, "disc", 4)])
 def test_a_step_is_one_node_per_forward_pass_penalty_and_loss(mode, lam, kind, nodes,
-                                                            monkeypatch):
+                                                            calls_to, monkeypatch):
+    # a step is its forward passes, at most one penalty and the loss, and
+    # none of them builds a Tensor
     data = small_data(8, seed=20)
     m = init([256, 8, 10], seed=20)
     plan = plan_for(mode, lam=lam, align_kind=kind)
     aux = init_aux(kind, 10, seed=20) if plan.needs_aux else None
+    forwards = calls_to("model.logits")
+    penalties = calls_to("regularizers.penalty")
     made = []
     original = Tensor.__init__
 
@@ -393,9 +373,13 @@ def test_a_step_is_one_node_per_forward_pass_penalty_and_loss(mode, lam, kind, n
         original(node, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting)
-    loss = step_loss(plan, m, (data.images, data.labels), aux)
-    assert len(made) == nodes
-    assert made[-1] is loss
+    step = step_loss(plan, m, (data.images, data.labels), aux)
+    assert made == []
+    assert len(forwards) + len(penalties) + 1 == nodes
+    assert len(step.passes) == len(forwards)
+    assert (step.penalty is None) == (not penalties)
+    for forward, g in step.passes:
+        assert g.shape == forward.logits.shape
 
 
 @pytest.mark.parametrize("mode,lam,kind", VERTEX_CELLS)
@@ -422,7 +406,7 @@ def test_vertex_training_holds_at_most_one_copy_of_the_set(family):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the slack covers the model, one step's graph and apply_batch's block
+    # the slack covers the model, one step's arrays and apply_batch's block
     # temporaries (1.4 MB for the texture filter); a second copy of the
     # 4.1 MB set, or one per family member, does not fit in it
     assert peak <= data.images.nbytes + 2 * 2**20
