@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -167,11 +167,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _fail("lambda_grid", "must be a nonempty list")
     if any(not _is_number(x) or x <= 0 for x in grid):
         _fail("lambda_grid", "values must be positive numbers")
+    if len({_cell_name("", float(x), 0) for x in grid}) < len(grid):
+        _fail("lambda_grid", "values name the cell directories, so must differ under '%g'")
 
     seeds = doc.get("seeds", list(DEFAULT_SEEDS))
     if not isinstance(seeds, list) or not seeds or any(
-            not _is_int(s) or s < 0 for s in seeds):
-        _fail("seeds", "must be a nonempty list of nonnegative integers")
+            not _is_int(s) or s < 0 for s in seeds) or len(set(seeds)) < len(seeds):
+        _fail("seeds", "must be a nonempty list of distinct nonnegative integers")
 
     epochs = doc.get("epochs", 10)
     if not _is_int(epochs) or epochs < 1:
@@ -353,6 +355,8 @@ def table_rows(rows: Sequence[MetricsRow]) -> list:
 
 def cmd_train(config_path: str, parallel: int = 1,
               seed_override: Optional[int] = None) -> Path:
+    if parallel < 1:
+        raise ConfigError(f"--parallel: must be at least 1, got {parallel}")
     try:
         doc = json.loads(Path(config_path).read_text())
     except OSError as exc:
@@ -382,16 +386,9 @@ def cmd_train(config_path: str, parallel: int = 1,
 
     out = resolve_output_dir(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = {
-        "dataset": config.dataset, "eval_dataset": eval_spec,
-        "model": {"hidden": list(config.hidden)}, "family": config.family,
-        "methods": list(config.methods),
-        "lambda_grid": list(config.lambda_grid), "seeds": list(config.seeds),
-        "epochs": config.epochs,
-        "lr": {"initial": config.lr.initial, "decay_factor": config.lr.decay_factor,
-               "decay_every": config.lr.decay_every},
-        "batch_size": config.batch_size, "output_dir": config.output_dir,
-    }
+    # the config in its document's layout, with the held-out split resolved
+    snapshot = asdict(config)
+    snapshot.update(eval_dataset=eval_spec, model={"hidden": snapshot.pop("hidden")})
     (out / "config.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True))
 
     cells = _build_cells(config)
@@ -506,6 +503,10 @@ def _load_run_dir(path: Path):
         raise FormatError(f"run directory {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise FormatError(f"run directory {path}: bad config.json: {exc}")
+    except MergeError as exc:
+        raise MergeError(f"run directory {path}: bad metrics.csv: {exc}")
+    if not isinstance(config, dict):
+        raise FormatError(f"run directory {path}: config.json is not a JSON object")
     return rows, config
 
 

@@ -179,17 +179,20 @@ def rows_to_csv(rows: Sequence[MetricsRow]) -> str:
 
 
 def rows_from_csv(text: str) -> list[MetricsRow]:
-    """Inverse of rows_to_csv."""
+    """Inverse of rows_to_csv; a table it could not have written raises MergeError."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if header != CSV_HEADER:
         raise MergeError(f"unexpected metrics header {header}")
     out = []
     for rec in reader:
-        method, shift, seed, lam, acc, rob, inv = rec
-        out.append(MetricsRow(method, shift, int(seed),
-                              None if lam == "" else float(lam),
-                              float(acc), float(rob), float(inv)))
+        try:
+            method, shift, seed, lam, acc, rob, inv = rec
+            out.append(MetricsRow(method, shift, int(seed),
+                                  None if lam == "" else float(lam),
+                                  float(acc), float(rob), float(inv)))
+        except ValueError as exc:
+            raise MergeError(f"metrics line {reader.line_num}: {exc}") from None
     return out
 
 

@@ -7,9 +7,10 @@ vertex is fixed, so :func:`train` transforms the whole training set under it
 once per call and each step takes its batch's rows of that copy; worst
 cases depend on the current model and are still chosen at every step.
 Aligned variants add a weighted alignment penalty between the two logit
-batches.  A step builds no graph: its loss and the loss's gradient with
-respect to each logit batch are written out in closed form, and
-``tensor.backward`` carries those gradients into the parameters.
+batches.  A step runs each transform and forward pass once (:func:`_forwards`)
+and builds no graph: its loss and the loss's gradient with respect to each
+logit batch are written out in closed form, and ``tensor.backward`` carries
+those gradients into the parameters.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .datasets import LabeledImages, batches, one_hot
 from .errors import ConfigError, DegenerateInputError, DivergenceError, ShapeError
-from .model import Classifier, family_logits, init, logits, logits_array
+from .model import Classifier, init, logits, logits_array
 from .regularizers import AUX_KINDS, ALIGN_KINDS, AuxParams, aux_update, init_aux, penalty
 from .tensor import NonFiniteError, _as_array, _log_softmax, softmax_array
 from .transforms import TransformFamily, apply_batch
@@ -87,12 +88,14 @@ class TrainPlan:
             raise ConfigError(f"unknown alignment kind {self.align_kind!r}")
         if self.lam > 0 and self.mode in ALIGNED_MODES and self.align_kind is None:
             raise ConfigError(f"mode {self.mode!r} with lambda > 0 needs an alignment kind")
+        if self.mode not in ALIGNED_MODES and (self.lam > 0 or self.align_kind is not None):
+            raise ConfigError(f"mode {self.mode!r} takes no lambda or alignment kind")
         if not self.hidden:
             raise ConfigError("need at least one hidden layer width")
 
     @property
     def uses_penalty(self) -> bool:
-        return self.mode in ALIGNED_MODES and self.lam > 0
+        return self.lam > 0
 
     @property
     def needs_aux(self) -> bool:
@@ -120,17 +123,6 @@ def select_worst(cube: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.argmin(probs[:, np.arange(len(labels)), labels], axis=0)
 
 
-def worst_case_copy(model: Classifier, images: np.ndarray, labels: np.ndarray,
-                    family: TransformFamily) -> np.ndarray:
-    """Each image under its own worst-case family member (see select_worst)."""
-    picks = select_worst(family_logits(model, images, family), labels)
-    out = np.empty_like(images)
-    for j in np.unique(picks):
-        mask = picks == j
-        out[mask] = apply_batch(family.members[j], images[mask])
-    return out
-
-
 def _vertex_copy(plan: TrainPlan, images: np.ndarray) -> Optional[np.ndarray]:
     """``images`` under the training vertex in a vertex mode; None otherwise."""
     if plan.mode not in VERTEX_MODES:
@@ -138,16 +130,24 @@ def _vertex_copy(plan: TrainPlan, images: np.ndarray) -> Optional[np.ndarray]:
     return apply_batch(plan.family.training_vertex(), images)
 
 
-def _augmented_copy(plan: TrainPlan, model: Classifier, images: np.ndarray,
-                    labels: np.ndarray, vertex: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """The batch's paired copy under the plan; None when the mode has none.
+def _forwards(plan: TrainPlan, model: Classifier, images: np.ndarray,
+              labels: np.ndarray, vertex: Optional[np.ndarray]) -> list:
+    """The step's forward records: ``[u]``, or ``[u, v]`` of the paired copy.
 
-    ``vertex`` is the batch's rows of ``_vertex_copy``, so None outside the
-    vertex modes.
+    ``u`` is the batch's own pass.  ``vertex`` is the batch's rows of
+    ``_vertex_copy``, so None outside the vertex modes.  A worst mode
+    transforms the batch under members 1..t-1 only: member 0 is the
+    identity, so ``u``'s logits are slice 0 of the (t, b, k) cube that
+    :func:`select_worst` reads, and each image's copy is taken from the
+    member copy that picked it.
     """
+    u = logits(model, images)
     if plan.mode in WORST_MODES:
-        return worst_case_copy(model, images, labels, plan.family)
-    return vertex
+        copies = [apply_batch(a, images) for a in plan.family.members[1:]]
+        cube = np.stack([u.logits, *(logits_array(model, c) for c in copies)])
+        picks = select_worst(cube, labels)
+        vertex = np.stack([images, *copies])[picks, np.arange(len(picks))]
+    return [u] if vertex is None else [u, logits(model, vertex)]
 
 
 class Step(NamedTuple):
@@ -163,29 +163,26 @@ class Step(NamedTuple):
     passes: list
 
 
-def _assemble(plan: TrainPlan, model: Classifier, images: np.ndarray,
-              labels: np.ndarray, augmented: Optional[np.ndarray],
+def _assemble(plan: TrainPlan, pair: list, labels: np.ndarray,
               aux: Optional[AuxParams]) -> Step:
     """The step's loss and its logit gradients.
 
-    ``augmented`` is the batch's paired copy from ``_augmented_copy``.  The
+    ``pair`` is the step's forward records from :func:`_forwards`.  The
     loss is the mean cross-entropy of the logits ``u``, or of ``u`` and
     ``v`` of the copy averaged, plus lambda times the penalty.  Each
     cross-entropy is checked for finite values before the penalty is
     computed, so a diverging step reports divergence rather than an error
     of the penalty's own.
     """
-    b = images.shape[0]
+    b, k = pair[0].logits.shape
     if b < 1:
         raise ValueError("empty batch")
-    y = one_hot(labels, model.num_classes)
-    u = logits(model, images)
-    pair = [u] if augmented is None else [u, logits(model, augmented)]
-    if model.num_classes < 2:
-        raise ShapeError(f"logits must be (b, k) with k >= 2, got {u.logits.shape}")
+    y = one_hot(labels, k)
+    if k < 2:
+        raise ShapeError(f"logits must be (b, k) with k >= 2, got {(b, k)}")
     logps = [_log_softmax(z.logits) for z in pair]
     ces = [_as_array(-(y * logp).sum() / b) for logp in logps]
-    if augmented is None:
+    if len(pair) == 1:
         weight, value = 1.0, ces[0]
     else:
         # the pair's mean halves each cross-entropy's gradient
@@ -197,7 +194,7 @@ def _assemble(plan: TrainPlan, model: Classifier, images: np.ndarray,
     grads = [weight * (np.exp(logp) - y) / b for logp in logps]
     pen = None
     if plan.uses_penalty:
-        pen, gu, gv = penalty(plan.align_kind, u.logits, pair[1].logits, aux, plan.lam)
+        pen, gu, gv = penalty(plan.align_kind, pair[0].logits, pair[1].logits, aux, plan.lam)
         value = value + pen * plan.lam
         grads = [grads[0] + gu, grads[1] + gv]
     return Step(float(_as_array(value)), pen, list(zip(pair, grads)))
@@ -207,8 +204,8 @@ def step_loss(plan: TrainPlan, model: Classifier,
               batch: tuple, aux: Optional[AuxParams] = None) -> Step:
     """The loss of one (images, labels) batch under the plan."""
     images, labels = batch
-    augmented = _augmented_copy(plan, model, images, labels, _vertex_copy(plan, images))
-    return _assemble(plan, model, images, labels, augmented, aux)
+    pair = _forwards(plan, model, images, labels, _vertex_copy(plan, images))
+    return _assemble(plan, pair, labels, aux)
 
 
 def _batch_seed(seed: int, epoch: int) -> int:
@@ -241,14 +238,12 @@ def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
             for rows in batches(len(data), plan.batch_size, _batch_seed(plan.seed, epoch)):
                 images, labels = data.images[rows], data.labels[rows]
                 try:
-                    # built once per step: the aux update and the loss share it
-                    augmented = _augmented_copy(plan, model, images, labels,
-                                                None if vertex is None else vertex[rows])
+                    pair = _forwards(plan, model, images, labels,
+                                     None if vertex is None else vertex[rows])
                     if aux is not None:
-                        aux_update(plan.align_kind, logits_array(model, images),
-                                   logits_array(model, augmented), aux)
+                        aux_update(plan.align_kind, pair[0].logits, pair[1].logits, aux)
                     model.params.zero_grad()
-                    step = _assemble(plan, model, images, labels, augmented, aux)
+                    step = _assemble(plan, pair, labels, aux)
                     T.backward(step.passes)
                 except NonFiniteError as exc:
                     raise DivergenceError(

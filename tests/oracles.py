@@ -12,6 +12,12 @@
   penalty through ``scale`` and ``add``.  The library writes the same
   step in closed form (``training._assemble``), and tests compare
   :func:`closed_form_step` with :func:`composed_step` with ``==``.
+- :func:`paired_copy` is the step's pairing done twice over: a worst
+  mode picks each image's member from ``model.family_logits`` and then
+  transforms the picked members again (:func:`worst_case_copy`), and
+  :func:`composed_step` runs the auxiliary update on forward passes of
+  its own.  The library transforms and forwards each array once per step
+  (``training._forwards``).
 - :func:`per_step_reference` is vertex-mode training that transforms each
   batch under the vertex at every step.
 - :func:`intersect1d_invariance` and :func:`argsort_invariance` score
@@ -29,7 +35,7 @@ from arlab import tensor as T
 from arlab import training
 from arlab.datasets import one_hot
 from arlab.errors import DivergenceError, ShapeError
-from arlab.model import init, logits, logits_array
+from arlab.model import family_logits, init, logits, logits_array
 from arlab.regularizers import aux_update, init_aux, penalty
 from arlab.tensor import NonFiniteError, _log_softmax
 from arlab.transforms import apply_batch
@@ -225,19 +231,54 @@ def composed_step_loss(plan, model, images, labels, augmented, aux=None):
     return add(ce, scale(pen, plan.lam)), pen.item()
 
 
-def composed_step(plan, model, images, labels, augmented, aux):
-    """Backpropagate :func:`composed_step_loss` on the tape; returns (loss, penalty)."""
+def worst_case_copy(model, images, labels, family):
+    """Each image under its own worst-case member, transformed again after
+    ``select_worst`` picked it from the whole family's logit cube."""
+    picks = training.select_worst(family_logits(model, images, family), labels)
+    out = np.empty_like(images)
+    for j in np.unique(picks):
+        mask = picks == j
+        out[mask] = apply_batch(family.members[j], images[mask])
+    return out
+
+
+def paired_copy(plan, model, images, labels, vertex):
+    """The batch's paired copy, or None for a baseline step.
+
+    ``vertex`` is the batch under the training vertex in a vertex mode,
+    None otherwise, as ``training._forwards`` takes it.
+    """
+    if plan.mode in training.WORST_MODES:
+        return worst_case_copy(model, images, labels, plan.family)
+    return vertex
+
+
+def composed_step(plan, model, images, labels, vertex, aux):
+    """A step on the tape; returns (loss, penalty).
+
+    The copy comes from :func:`paired_copy`, the auxiliary update reads
+    forward passes of its own, and :func:`composed_step_loss` is
+    backpropagated.
+    """
+    augmented = paired_copy(plan, model, images, labels, vertex)
+    if aux is not None:
+        aux_update(plan.align_kind, logits_array(model, images),
+                   logits_array(model, augmented), aux)
     loss, pen = composed_step_loss(plan, model, images, labels, augmented, aux)
     backward(loss)
     return loss.item(), pen
 
 
-def closed_form_step(plan, model, images, labels, augmented, aux):
-    """The library's step, ``training._assemble`` and one ``tensor.backward``.
+def closed_form_step(plan, model, images, labels, vertex, aux):
+    """The library's step as ``training.train`` runs it: ``_forwards``, the
+    auxiliary update on its logits, ``_assemble`` and one ``tensor.backward``.
 
-    Returns (loss, penalty), as :func:`composed_step` does.
+    Takes and returns what :func:`composed_step` does.
     """
-    step = training._assemble(plan, model, images, labels, augmented, aux)
+    pair = training._forwards(plan, model, images, labels, vertex)
+    if aux is not None:
+        aux_update(plan.align_kind, pair[0].logits, pair[1].logits, aux)
+    step = training._assemble(plan, pair, labels, aux)
     T.backward(step.passes)
     return step.value, step.penalty
 
@@ -245,8 +286,8 @@ def closed_form_step(plan, model, images, labels, augmented, aux):
 def per_step_reference(plan, data, step=closed_form_step):
     """Reference for vertex-mode ``train``: each step draws its rows from
     the same seeded shuffle and transforms its own batch under the vertex.
-    ``step`` fills the parameter gradients and returns (loss, penalty), as
-    :func:`closed_form_step` does."""
+    ``step`` updates the auxiliary, fills the parameter gradients and
+    returns (loss, penalty), as :func:`closed_form_step` does."""
     widths = (data.images.shape[1] * data.images.shape[2], *plan.hidden,
               data.num_classes)
     model = init(widths, plan.seed)
@@ -262,12 +303,9 @@ def per_step_reference(plan, data, step=closed_form_step):
                 idx = perm[start:start + plan.batch_size]
                 images, labels = data.images[idx], data.labels[idx]
                 try:
-                    augmented = apply_batch(plan.family.training_vertex(), images)
-                    if aux is not None:
-                        aux_update(plan.align_kind, logits_array(model, images),
-                                   logits_array(model, augmented), aux)
+                    vertex = apply_batch(plan.family.training_vertex(), images)
                     model.params.zero_grad()
-                    loss, pen = step(plan, model, images, labels, augmented, aux)
+                    loss, pen = step(plan, model, images, labels, vertex, aux)
                 except NonFiniteError as exc:
                     raise DivergenceError(
                         f"training diverged (non-finite loss) at epoch {epoch}") from exc

@@ -185,6 +185,26 @@ class TestTrain:
         assert f"lr: learning rate at epoch {epoch} " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"seeds": [0, 0]}, "seeds: must be a nonempty list of distinct"),
+        # both format to 0.001, the cells' directory name
+        ({"methods": ["S"], "lambda_grid": [0.001, 0.0010000001]},
+         "lambda_grid: values name the cell directories, so must differ under '%g'"),
+    ], ids=["duplicate-seeds", "colliding-lambdas"])
+    def test_colliding_cells_exit_2_before_any_directory(self, tmp_path, capsys,
+                                                         overrides, message):
+        config_path, out = write_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_parallel_below_one_exits_2(self, tmp_path, capsys, workers):
+        config_path, out = write_config(tmp_path)
+        assert main(["train", "--config", str(config_path), "--parallel", workers]) == 2
+        assert "--parallel: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config" in capsys.readouterr().err
@@ -514,3 +534,21 @@ class TestReport:
 
     def test_missing_dir_exits_3(self, tmp_path):
         assert main(["report", str(tmp_path / "ghost")]) == 3
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("metrics.csv", "", "unexpected metrics header []"),
+        ("metrics.csv", "{header}\nB,rotation,0,,0.9,0.8,0.7\nB,rotation,1,,0.9\n",
+         "metrics line 3"),
+        ("metrics.csv", "{header}\nB,rotation,0,,high,0.8,0.7\n", "metrics line 2"),
+        ("config.json", "[]", "config.json is not a JSON object"),
+    ], ids=["empty-metrics", "short-row", "non-numeric", "config-list"])
+    def test_malformed_run_dir_exits_3_naming_it(self, trained_run, tmp_path, capsys,
+                                                 name, text, message):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        header = (run / "metrics.csv").read_text().splitlines()[0]
+        (run / name).write_text(text.format(header=header))
+        assert main(["report", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert f"artifact error: run directory {run}: " in err
+        assert message in err

@@ -7,8 +7,8 @@ from arlab import training
 from arlab.datasets import gen_minidigits, one_hot
 from arlab.errors import ConfigError, DegenerateInputError, DivergenceError
 from arlab.evaluation import accuracy
-from arlab.model import family_logits, init, logits_array
-from arlab.regularizers import ALIGN_KINDS, aux_update, init_aux
+from arlab.model import family_logits, init, logits, logits_array
+from arlab.regularizers import ALIGN_KINDS, init_aux
 from arlab.tensor import NonFiniteError, Tensor, softmax_array
 from arlab.training import (
     DEFAULT_SEEDS,
@@ -162,6 +162,11 @@ def test_plan_validation():
         # a NaN lambda would otherwise train without its penalty
         with pytest.raises(ConfigError, match="finite nonnegative"):
             plan_for("aligned-vertex", lam=lam, align_kind="sql2")
+    # a mode without a penalty would silently train without the one given
+    for mode, lam, kind in [("vanilla-aug", 0.5, "sql2"), ("baseline", 3, "disc"),
+                            ("vanilla-worst", 0.1, None), ("baseline", 0.0, "l1")]:
+        with pytest.raises(ConfigError, match="takes no lambda or alignment kind"):
+            plan_for(mode, lam=lam, align_kind=kind)
     with pytest.raises(ConfigError):
         LrSchedule(0.0)
 
@@ -293,7 +298,8 @@ STEP_CELLS = [("baseline", 0.0, None), ("vanilla-aug", 0.0, None),
 
 
 def sgd_steps(plan, data, step, batch_size=16):
-    """One epoch of SGD in row order, each step's gradients filled by ``step``.
+    """One epoch of SGD in row order, each step's pairing, auxiliary update
+    and gradients made by ``step``.
 
     Returns every step's loss value, penalty value and parameter gradients.
     """
@@ -303,14 +309,9 @@ def sgd_steps(plan, data, step, batch_size=16):
     steps = []
     for start in range(0, len(data), batch_size):
         rows = np.arange(start, min(start + batch_size, len(data)))
-        images, labels = data.images[rows], data.labels[rows]
-        augmented = training._augmented_copy(plan, model, images, labels,
-                                              None if vertex is None else vertex[rows])
-        if aux is not None:
-            aux_update(plan.align_kind, logits_array(model, images),
-                       logits_array(model, augmented), aux)
         model.params.zero_grad()
-        loss, pen = step(plan, model, images, labels, augmented, aux)
+        loss, pen = step(plan, model, data.images[rows], data.labels[rows],
+                         None if vertex is None else vertex[rows], aux)
         steps.append((loss, pen, [t.grad.copy() for t in model.params.tensors()]))
         for t in model.params.tensors():
             t.data = t.data - plan.lr.at(0) * t.grad
@@ -333,7 +334,7 @@ def test_one_node_step_matches_the_composed_step(family, mode, lam, kind):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("assemble", [training._assemble, composed_step_loss])
+@pytest.mark.parametrize("assemble", ["_assemble", "composed_step_loss"])
 def test_non_finite_cross_entropy_fails_before_the_penalty(assemble):
     data = small_data(8, seed=19)
     images = data.images.copy()
@@ -348,8 +349,12 @@ def test_non_finite_cross_entropy_fails_before_the_penalty(assemble):
     unit = int(np.argmax(hidden.max(axis=0)))
     c = 1e308 / hidden[:, unit].max()
     m.params["w1"].data[unit, :2] = [c, -c]
+    pair = [logits(m, images), logits(m, augmented)]  # finite logits
     with pytest.raises(NonFiniteError):
-        assemble(plan, m, images, data.labels, augmented, None)
+        if assemble == "_assemble":
+            training._assemble(plan, pair, data.labels, None)
+        else:
+            composed_step_loss(plan, m, images, data.labels, augmented, None)
 
 
 @pytest.mark.parametrize("mode,lam,kind,nodes", [
@@ -380,6 +385,28 @@ def test_a_step_is_one_node_per_forward_pass_penalty_and_loss(mode, lam, kind, n
     assert (step.penalty is None) == (not penalties)
     for forward, g in step.passes:
         assert g.shape == forward.logits.shape
+
+
+@pytest.mark.parametrize("mode,lam,kind", [
+    ("vanilla-worst", 0.0, None), ("aligned-worst", 0.1, "disc"),
+    ("aligned-vertex", 0.1, "disc")])
+def test_a_step_transforms_and_forwards_each_array_once(mode, lam, kind, calls_to):
+    data = small_data(16, seed=21)
+    # one batch holds the whole split, so one epoch is one step
+    plan = plan_for(mode, lam=lam, align_kind=kind, epochs=1, batch_size=16)
+    transformed = calls_to("transforms.apply_batch")
+    forwards = calls_to("model.logits")
+    cube_rows = calls_to("model.logits_array")
+    train(plan, data)
+    assert len(forwards) == 2
+    if mode in training.WORST_MODES:
+        # members 1..t-1 once each; u's own logits are the identity's slice
+        assert [member for member, _ in transformed] == list(plan.family.members[1:])
+        assert len(cube_rows) == len(plan.family) - 1
+    else:
+        # the set's vertex copy; the disc update reads the step's own logits
+        assert len(transformed) == 1
+        assert cube_rows == []
 
 
 @pytest.mark.parametrize("mode,lam,kind", VERTEX_CELLS)
