@@ -21,7 +21,7 @@ rng = np.random.default_rng(0)
 model = init([16, 6, 2], seed=0)
 images = rng.random((5, 4, 4))
 labels = np.array([0, 1, 0, 0, 1])
-w = model.params["w0"]
+w = model.layers[0][0]
 # the copy is each image under the family's training vertex, a rotation
 plan = TrainPlan(mode="aligned-vertex", family=family_rotation(), lam=0.1,
                  align_kind="sql2")
@@ -50,8 +50,9 @@ for name, g, want in zip(("u", "v"), (g_u, g_v), by_hand):
 
 # -- 3. one backward call fills .grad on every parameter ---------------------
 T.backward(loss.passes)
-for name, param in model.params.items():
-    print(f"dL/d{name} shape        {param.grad.shape}")
+for i, layer in enumerate(model.layers):
+    for name, param in zip((f"w{i}", f"b{i}"), layer):
+        print(f"dL/d{name} shape        {param.grad.shape}")
 
 # -- 4. spot-check two coordinates with central differences ------------------
 h = 1e-6

@@ -44,7 +44,7 @@ from .evaluation import (
 )
 from .model import Classifier, family_logits, init, load_weights, logits_array, save_weights
 from .regularizers import ALIGN_KINDS, init_aux, penalty
-from .tensor import NonFiniteError, ParamSet, Tensor, backward
+from .tensor import NonFiniteError, Tensor, backward
 from .theory import (
     AssumptionReport,
     BoundReport,
@@ -85,7 +85,6 @@ __all__ = [
     "MergeError",
     "MetricsRow",
     "NonFiniteError",
-    "ParamSet",
     "ShapeError",
     "SizeLimitError",
     "Tensor",

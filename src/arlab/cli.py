@@ -383,6 +383,9 @@ def cmd_train(config_path: str, parallel: int = 1,
             "data: images of shape {}x{}, but the train split has {}x{}".format(
                 *hold_out.images.shape[1:], *data.images.shape[1:]))
     check_class_sizes(hold_out.labels, hold_out.num_classes)
+    # every cell builds this family; one the images cannot hold is found
+    # before any cell directory exists
+    family_by_name(config.family, data.images.shape[1])
 
     out = resolve_output_dir(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -75,6 +75,8 @@ def load_idx(images_path, labels_path) -> LabeledImages:
         magic, n, h, w = struct.unpack(">IIII", _read_exact(f, 16))
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"bad image magic 0x{magic:08x} in {images_path}")
+        if not h or not w:
+            raise FormatError(f"images of {h}x{w} pixels in {images_path}")
         pixels = np.frombuffer(_read_exact(f, n * h * w), dtype=np.uint8)
         if f.read(1):
             raise FormatError(f"trailing bytes in {images_path}")

@@ -23,29 +23,30 @@ WEIGHTS_MAGIC = b"ARLABW01"
 class Classifier:
     """Flatten, hidden ReLU layers, then a linear logit layer.
 
-    ``widths`` runs input, hidden..., output; at least one hidden layer is
-    required.  Alignment penalties attach to the logits, the representation
-    just before any softmax.
+    ``layers`` holds each layer's (w, b) parameters, input side first: w is
+    (fan_in, fan_out) and b is (fan_out,).  The widths are read from those
+    shapes; at least one hidden layer is required.  Alignment penalties
+    attach to the logits, the representation just before any softmax.
     """
 
-    def __init__(self, widths: Sequence[int], params: T.ParamSet):
-        self.widths = tuple(int(w) for w in widths)
-        self.params = params
+    def __init__(self, layers: list):
+        self.layers = layers
+
+    @property
+    def widths(self) -> tuple:
+        return (self.input_width, *(w.shape[1] for w, _ in self.layers))
 
     @property
     def num_layers(self) -> int:
-        return len(self.widths) - 1
+        return len(self.layers)
 
     @property
     def input_width(self) -> int:
-        return self.widths[0]
+        return self.layers[0][0].shape[0]
 
     @property
     def num_classes(self) -> int:
-        return self.widths[-1]
-
-    def layer(self, i: int) -> tuple[T.Tensor, T.Tensor]:
-        return self.params[f"w{i}"], self.params[f"b{i}"]
+        return self.layers[-1][0].shape[1]
 
 
 def init(widths: Sequence[int], seed: int) -> Classifier:
@@ -56,12 +57,12 @@ def init(widths: Sequence[int], seed: int) -> Classifier:
     if any(w < 1 for w in widths):
         raise ValueError(f"widths must be positive, got {widths}")
     rng = np.random.default_rng(seed)
-    params = T.ParamSet()
-    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+    layers = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = np.sqrt(6.0 / fan_in)
-        params.add(f"w{i}", T.Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
-        params.add(f"b{i}", T.Tensor(np.zeros(fan_out)))
-    return Classifier(widths, params)
+        layers.append((T.Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out))),
+                       T.Tensor(np.zeros(fan_out))))
+    return Classifier(layers)
 
 
 def _flatten(model: Classifier, images: np.ndarray) -> np.ndarray:
@@ -79,8 +80,8 @@ def _flatten(model: Classifier, images: np.ndarray) -> np.ndarray:
 class Forward(NamedTuple):
     """One training forward pass: the logits and what its backward pass reads.
 
-    ``layers`` holds each layer's (w, b) parameters, ``inputs`` each
-    layer's input rows and ``masks`` each hidden layer's ReLU mask.
+    ``layers`` is the model's own list of (w, b) parameters, ``inputs``
+    each layer's input rows and ``masks`` each hidden layer's ReLU mask.
     """
 
     logits: np.ndarray
@@ -97,22 +98,20 @@ def logits(model: Classifier, images: np.ndarray) -> Forward:
     entries.
     """
     h = _flatten(model, images)
-    layers = [model.layer(i) for i in range(model.num_layers)]
     inputs, masks = [], []
-    for i, (w, b) in enumerate(layers):
+    for i, (w, b) in enumerate(model.layers):
         inputs.append(h)
         h = h @ w.data + b.data
         if i < model.num_layers - 1:
             masks.append(T._as_array(h) > 0)
             h = np.where(masks[-1], h, 0.0)
-    return Forward(T._as_array(h), layers, inputs, masks)
+    return Forward(T._as_array(h), model.layers, inputs, masks)
 
 
 def logits_array(model: Classifier, images: np.ndarray) -> np.ndarray:
     """Forward pass that keeps nothing for a backward pass, for evaluation."""
     h = _flatten(model, images)
-    for i in range(model.num_layers):
-        w, b = model.layer(i)
+    for i, (w, b) in enumerate(model.layers):
         h = h @ w.data + b.data
         if i < model.num_layers - 1:
             h = np.maximum(h, 0.0)
@@ -137,9 +136,8 @@ def save_weights(model: Classifier, path) -> None:
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC)
         f.write(struct.pack("<I", model.num_layers))
-        for i in range(model.num_layers):
-            w, b = model.layer(i)
-            rows, cols = w.data.shape
+        for w, b in model.layers:
+            rows, cols = w.shape
             f.write(struct.pack("<II", rows, cols))
             f.write(w.data.astype("<f8").tobytes())
             f.write(b.data.astype("<f8").tobytes())
@@ -164,22 +162,19 @@ def load_weights(path) -> Classifier:
     (num_layers,) = struct.unpack("<I", take(4))
     if num_layers < 2:
         raise FormatError(f"weight file {path} holds {num_layers} layers, need >= 2")
-    params = T.ParamSet()
-    widths = []
+    layers = []
     for i in range(num_layers):
         rows, cols = struct.unpack("<II", take(8))
-        if widths and widths[-1] != rows:
-            raise FormatError(
-                f"layer {i} expects {rows} inputs but layer {i - 1} emits {widths[-1]}")
-        if not widths:
-            widths.append(rows)
-        widths.append(cols)
+        if not rows or not cols:
+            raise FormatError(f"layer {i} of weight file {path} is {rows}x{cols}")
+        if layers and layers[-1][0].shape[1] != rows:
+            raise FormatError(f"layer {i} expects {rows} inputs but layer {i - 1} "
+                              f"emits {layers[-1][0].shape[1]}")
         w = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
         b = np.frombuffer(take(cols * 8), dtype="<f8")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise FormatError(f"layer {i} of weight file {path} holds NaN or Inf")
-        params.add(f"w{i}", T.Tensor(w.copy()))
-        params.add(f"b{i}", T.Tensor(b.copy()))
+        layers.append((T.Tensor(w.copy()), T.Tensor(b.copy())))
     if off != len(blob):
         raise FormatError(f"trailing bytes in weight file {path}")
-    return Classifier(widths, params)
+    return Classifier(layers)

@@ -242,14 +242,14 @@ def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
                                      None if vertex is None else vertex[rows])
                     if aux is not None:
                         aux_update(plan.align_kind, pair[0].logits, pair[1].logits, aux)
-                    model.params.zero_grad()
                     step = _assemble(plan, pair, labels, aux)
                     T.backward(step.passes)
                 except NonFiniteError as exc:
                     raise DivergenceError(
                         f"training diverged (non-finite loss) at epoch {epoch}") from exc
-                for t in model.params.tensors():
-                    t.data = t.data - lr * t.grad
+                for layer in model.layers:
+                    for t in layer:
+                        t.data = t.data - lr * t.grad
                 step_losses.append(step.value)
                 if step.penalty is not None:
                     step_pens.append(step.penalty)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,9 @@ def _scaled_radii(image_size: int) -> list[float]:
 def family_texture(image_size: int = 28) -> TransformFamily:
     """Identity plus four concentric low-pass filters; extreme = tightest."""
     radii = _scaled_radii(image_size)
+    if min(radii) < 1:
+        raise ConfigError(
+            f"family: texture on {image_size}-pixel images rounds a filter radius to 0")
     members = (Identity(),) + tuple(FreqCutoff(r) for r in radii)
     return TransformFamily("texture", members, 0, 4)
 

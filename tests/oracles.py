@@ -3,7 +3,8 @@
 - :class:`Tensor` and :func:`backward` are a reverse-mode tape: a node
   holds a value, its parents and a backward rule, and :func:`backward`
   walks the graph in reverse topological order.  The library's parameters
-  (``arlab.tensor.Tensor``) are its leaves.
+  (``arlab.tensor.Tensor``) are its leaves, and :func:`zero_grads` zeroes
+  leaves before a backward pass adds into them.
 - :func:`add`, :func:`scale` and :func:`softmax_cross_entropy` are generic
   tape nodes; :func:`logits_node` and :func:`penalty_node` make the
   model's forward pass and an alignment penalty one node each.
@@ -46,13 +47,15 @@ class Tensor(T.Tensor):
 
     A node made directly (no parents) is a leaf, as is every library
     parameter.  Leaf gradients accumulate across :func:`backward` calls
-    until explicitly zeroed, which lets several losses share one subgraph.
+    until :func:`zero_grads` zeroes them, which lets several losses share
+    one subgraph.
     """
 
     __slots__ = ("_parents", "_backward")
 
     def __init__(self, data, parents=(), backward_rule=None):
         super().__init__(data)
+        self.grad = np.zeros_like(self.data)
         self._parents = tuple(parents)
         self._backward = backward_rule
 
@@ -64,6 +67,17 @@ class Tensor(T.Tensor):
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
+
+
+def zero_grads(leaves) -> None:
+    """Start each leaf's gradient over at zero."""
+    for t in leaves:
+        t.grad = np.zeros_like(t.data)
+
+
+def parameters(model) -> list:
+    """The model's parameters in file order: w0, b0, w1, b1, ..."""
+    return [t for layer in model.layers for t in layer]
 
 
 def _parents(node) -> tuple:
@@ -187,13 +201,13 @@ def logits_node(model, images) -> Tensor:
 
     def rule(g):
         for i in reversed(range(model.num_layers)):
-            w, b = model.layer(i)
+            w, b = model.layers[i]
             b.grad = b.grad + g.sum(axis=0)
             w.grad = w.grad + forward.inputs[i].T @ g
             if i > 0:
                 g = (g @ w.data.T) * forward.masks[i - 1]
 
-    return Tensor(forward.logits, model.params.tensors(), rule)
+    return Tensor(forward.logits, parameters(model), rule)
 
 
 def penalty_node(kind, u, v, aux=None) -> Tensor:
@@ -258,13 +272,14 @@ def composed_step(plan, model, images, labels, vertex, aux):
 
     The copy comes from :func:`paired_copy`, the auxiliary update reads
     forward passes of its own, and :func:`composed_step_loss` is
-    backpropagated.
+    backpropagated into the model's freshly zeroed parameters.
     """
     augmented = paired_copy(plan, model, images, labels, vertex)
     if aux is not None:
         aux_update(plan.align_kind, logits_array(model, images),
                    logits_array(model, augmented), aux)
     loss, pen = composed_step_loss(plan, model, images, labels, augmented, aux)
+    zero_grads(parameters(model))
     backward(loss)
     return loss.item(), pen
 
@@ -304,12 +319,11 @@ def per_step_reference(plan, data, step=closed_form_step):
                 images, labels = data.images[idx], data.labels[idx]
                 try:
                     vertex = apply_batch(plan.family.training_vertex(), images)
-                    model.params.zero_grad()
                     loss, pen = step(plan, model, images, labels, vertex, aux)
                 except NonFiniteError as exc:
                     raise DivergenceError(
                         f"training diverged (non-finite loss) at epoch {epoch}") from exc
-                for t in model.params.tensors():
+                for t in parameters(model):
                     t.data = t.data - lr * t.grad
                 step_losses.append(loss)
                 if pen is not None:

@@ -44,8 +44,8 @@ def all_families():
 def passthrough_model(k: int) -> Classifier:
     """Logits equal five times the flattened input (nonnegative inputs)."""
     model = init([k, k, k], seed=0)
-    w0, b0 = model.layer(0)
-    w1, b1 = model.layer(1)
+    w0, b0 = model.layers[0]
+    w1, b1 = model.layers[1]
     w0.data[:] = 5.0 * np.eye(k)
     w1.data[:] = np.eye(k)
     b0.data[:] = 0.0
@@ -71,7 +71,8 @@ def _sampled_coordinate_check(plan, model, batch, aux, coords_per_mode=24,
     """Worst relative error over randomly sampled parameter coordinates."""
     loss = step_loss(plan, model, batch, aux)
     backward(loss.passes)
-    entries = list(model.params.items())
+    entries = [(f"{kind}{i}", t) for i, layer in enumerate(model.layers)
+               for kind, t in zip("wb", layer)]
     sizes = np.array([t.data.size for _, t in entries])
     bounds = np.cumsum(sizes)
     rng = np.random.default_rng(417)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import struct
 import warnings
 from pathlib import Path
 
@@ -33,6 +34,15 @@ def base_config(out_dir, **overrides) -> dict:
     }
     doc.update(overrides)
     return doc
+
+
+def write_idx(tmp_path, images):
+    """An IDX pair of byte images with labels 0-9 in turn; returns its paths."""
+    images_path, labels_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+    n, h, w = images.shape
+    images_path.write_bytes(struct.pack(">IIII", 0x803, n, h, w) + images.tobytes())
+    labels_path.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 10 for i in range(n)))
+    return images_path, labels_path
 
 
 def write_config(tmp_path, **overrides):
@@ -324,6 +334,27 @@ class TestTrain:
         assert "the train split holds no images" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_pixel_idx_split_exits_3_before_training(self, tmp_path, capsys):
+        images_path, labels_path = write_idx(tmp_path, np.zeros((20, 0, 0), dtype=np.uint8))
+        config_path, out = write_config(
+            tmp_path, dataset={"kind": "idx", "images": str(images_path),
+                               "labels": str(labels_path)})
+        assert main(["train", "--config", str(config_path)]) == 3
+        assert "artifact error: images of 0x0 pixels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_texture_on_tiny_images_exits_2_before_training(self, tmp_path, capsys):
+        # a 2-pixel side scales the tightest texture radius, 6 of 28, to 0
+        images_path, labels_path = write_idx(tmp_path, np.full((20, 2, 2), 200, np.uint8))
+        config_path, out = write_config(
+            tmp_path, family="texture",
+            dataset={"kind": "idx", "images": str(images_path),
+                     "labels": str(labels_path)})
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert ("config error: family: texture on 2-pixel images"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_splits_are_built_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 
@@ -386,7 +417,8 @@ class TestEval:
     @pytest.mark.parametrize("name,layer,value", [("w0", 0, np.nan), ("b1", 1, np.inf)])
     def test_non_finite_weights_exit_3(self, tmp_path, capsys, command, name, layer, value):
         model = init([256, 8, 10], seed=0)
-        model.params[name].data.flat[0] = value
+        w, b = model.layers[layer]
+        (w if name[0] == "w" else b).data.flat[0] = value
         path = tmp_path / "bad.bin"
         save_weights(model, path)
         code = main([command, "--weights", str(path),
@@ -395,6 +427,28 @@ class TestEval:
         err = capsys.readouterr().err
         assert "artifact error" in err
         assert f"layer {layer} " in err
+
+    @pytest.mark.parametrize("command", ["eval", "theory"])
+    def test_zero_width_layer_exits_3(self, tmp_path, capsys, command):
+        # 256 -> 0 -> 10: the widths chain, and every payload is the right size
+        blob = (b"ARLABW01" + struct.pack("<I", 2) + struct.pack("<II", 256, 0)
+                + struct.pack("<II", 0, 10) + np.zeros(10).astype("<f8").tobytes())
+        path = tmp_path / "hollow.bin"
+        path.write_bytes(blob)
+        code = main([command, "--weights", str(path),
+                     "--data", "minidigits:100:3", "--family", "rotation"])
+        assert code == 3
+        assert "artifact error: layer 0 of weight file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "theory"])
+    def test_texture_on_tiny_images_exits_2(self, tmp_path, capsys, command):
+        weights = tmp_path / "tiny.bin"
+        save_weights(init([4, 8, 10], seed=0), weights)
+        images_path, labels_path = write_idx(tmp_path, np.full((20, 2, 2), 200, np.uint8))
+        code = main([command, "--weights", str(weights),
+                     "--data", f"{images_path},{labels_path}", "--family", "texture"])
+        assert code == 2
+        assert "config error: family: texture on 2-pixel images" in capsys.readouterr().err
 
     def test_missing_weights_exits_3(self, tmp_path):
         code = main(["eval", "--weights", str(tmp_path / "ghost.bin"),

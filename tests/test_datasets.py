@@ -60,6 +60,14 @@ def test_load_idx_rejects_truncation_and_count_mismatch(tmp_path):
         load_idx(ipath, lpath)
 
 
+@pytest.mark.parametrize("h,w", [(0, 0), (0, 3), (3, 0)])
+def test_load_idx_rejects_zero_pixel_images(tmp_path, h, w):
+    ipath, lpath = write_idx_pair(tmp_path, np.zeros((20, h, w), dtype=np.uint8),
+                                  np.arange(20, dtype=np.uint8) % 10)
+    with pytest.raises(FormatError, match=f"images of {h}x{w} pixels"):
+        load_idx(ipath, lpath)
+
+
 def test_idx_round_trip(tmp_path):
     data = gen_minidigits(12, seed=5)
     save_idx(data, tmp_path / "i.idx", tmp_path / "l.idx")

@@ -29,7 +29,7 @@ from arlab.transforms import (
     family_by_name,
 )
 
-from oracles import argsort_invariance, intersect1d_invariance
+from oracles import argsort_invariance, intersect1d_invariance, parameters
 
 
 def onehot_data(labels, k=10):
@@ -43,17 +43,17 @@ def onehot_data(labels, k=10):
 def onehot_model(k=10):
     """Reads the one-hot pixel row straight through to the logits."""
     m = init([k, k, k], seed=0)
-    m.params["w0"].data = 5.0 * np.eye(k)
-    m.params["w1"].data = np.eye(k)
+    m.layers[0][0].data = 5.0 * np.eye(k)
+    m.layers[1][0].data = np.eye(k)
     return m
 
 
 def constant_model(k=10, d=16 * 16, winner=None):
     m = init([d, 4, k], seed=0)
-    for t in m.params.tensors():
+    for t in parameters(m):
         t.data = np.zeros_like(t.data)
     if winner is not None:
-        m.params["b1"].data[winner] = 1.0
+        m.layers[1][1].data[winner] = 1.0
     return m
 
 

@@ -17,7 +17,7 @@ from arlab.model import (
 from arlab.transforms import apply_batch, family_by_name
 
 from gradcheck import numeric_grads
-from oracles import numpy_cross_entropy
+from oracles import numpy_cross_entropy, parameters
 
 
 def small_model(seed=0):
@@ -30,16 +30,15 @@ def rand_images(n, side=4, seed=1):
 
 def test_init_deterministic_per_seed():
     a, b = small_model(3), small_model(3)
-    for (_, ta), (_, tb) in zip(a.params.items(), b.params.items()):
+    for ta, tb in zip(parameters(a), parameters(b)):
         assert np.array_equal(ta.data, tb.data)
     c = small_model(4)
-    assert not np.array_equal(a.params["w0"].data, c.params["w0"].data)
+    assert not np.array_equal(a.layers[0][0].data, c.layers[0][0].data)
 
 
 def test_init_biases_zero_and_weights_bounded():
     m = small_model()
-    for i in range(m.num_layers):
-        w, b = m.layer(i)
+    for w, b in m.layers:
         assert np.all(b.data == 0.0)
         bound = np.sqrt(6.0 / w.data.shape[0])
         assert np.all(np.abs(w.data) <= bound)
@@ -91,25 +90,22 @@ def test_parameter_gradients_match_finite_differences():
     m = init([9, 6, 4], seed=2)
     imgs = np.random.default_rng(5).random((3, 3, 3))
     y = one_hot(np.array([0, 3, 1]), 4)
-    names = [name for name, _ in m.params.items()]
 
     def build(*param_tensors):
         # the numeric side never touches a backward pass: the evaluation
         # forward pass and a numpy cross-entropy
-        params = T.ParamSet()
-        for name, t in zip(names, param_tensors):
-            params.add(name, t)
-        z = logits_array(Classifier(m.widths, params), imgs)
+        layers = list(zip(param_tensors[::2], param_tensors[1::2]))
+        z = logits_array(Classifier(layers), imgs)
         return T.Tensor(numpy_cross_entropy(z, y))
 
-    arrays = [t.data for t in m.params.tensors()]
+    arrays = [t.data for t in parameters(m)]
     numeric = numeric_grads(build, arrays, h=1e-5)
 
     # the mean cross-entropy's gradient with respect to the logits
     forward = logits(m, imgs)
     T.backward([(forward, (T.softmax_array(forward.logits) - y) / len(y))])
     checked = 0
-    for (_, t), num in zip(m.params.items(), numeric):
+    for t, num in zip(parameters(m), numeric):
         scale = np.maximum(np.abs(num), np.abs(t.grad))
         scale = np.where(scale < 1e-6, 1.0, scale)
         assert np.max(np.abs(t.grad - num) / scale) < 1e-4
@@ -124,8 +120,8 @@ def test_logits_node_has_the_parameters_as_parents():
     imgs = rand_images(4)
     forward = logits(m, imgs)
     kept = [t for layer in forward.layers for t in layer]
-    assert len(kept) == len(m.params.tensors())
-    assert all(p is t for p, t in zip(kept, m.params.tensors()))
+    assert len(kept) == len(parameters(m))
+    assert all(p is t for p, t in zip(kept, parameters(m)))
     assert np.array_equal(forward.inputs[0], imgs.reshape(4, -1))
     assert [mask.shape for mask in forward.masks] == [(4, 8), (4, 5)]
 
@@ -135,7 +131,7 @@ def test_non_finite_pre_activation_hidden_by_relu_still_raises():
     imgs = rand_images(2)
     # every pixel is positive, so this unit's pre-activation overflows to
     # -inf, which ReLU would turn into a finite 0
-    m.params["w0"].data[:, 0] = -1e308
+    m.layers[0][0].data[:, 0] = -1e308
     with np.errstate(over="ignore"):
         assert np.all(np.isfinite(logits_array(m, imgs)))
         with pytest.raises(T.NonFiniteError):
@@ -145,7 +141,7 @@ def test_non_finite_pre_activation_hidden_by_relu_still_raises():
 def test_predict_tie_breaks_to_lowest_index():
     m = init([256, 8, 3], seed=0)
     # force identical logits by zeroing everything: a fully tied cube
-    for t in m.params.tensors():
+    for t in parameters(m):
         t.data = np.zeros_like(t.data)
     cube = family_logits(m, rand_images(4, side=16), family_by_name("rotation"))
     assert accuracy(cube[0], np.zeros(4, dtype=int)) == 1.0
@@ -165,7 +161,7 @@ def test_predict_shift_invariant():
     m = small_model(9)
     imgs = rand_images(6, seed=9)
     before = logits_array(m, imgs).argmax(axis=1)
-    bias = m.params[f"b{m.num_layers - 1}"]
+    bias = m.layers[-1][1]
     bias.data = bias.data + 3.7
     assert accuracy(logits_array(m, imgs), before) == 1.0
 

@@ -9,12 +9,12 @@ import arlab
 # names deleted because no path of the program reached them, by owning
 # module; a dotted name is an attribute of a class in that module
 REMOVED = {
-    "tensor": ("dft2", "idft2", "softmax", "ParamSet.names", "sub", "mul", "matmul",
-               "add_bias", "relu", "absolute", "softplus", "take_rows", "reduce_sum",
-               "reduce_mean"),
+    "tensor": ("dft2", "idft2", "softmax", "ParamSet", "Tensor.zero_grad", "sub", "mul",
+               "matmul", "add_bias", "relu", "absolute", "softplus", "take_rows",
+               "reduce_sum", "reduce_mean"),
     "regularizers": ("critic_objective", "CRITIC_CLIP", "AuxParams.zero_grad"),
     "evaluation": ("wasserstein_invariance", "invariance_score"),
-    "model": ("predict", "predict_classes"),
+    "model": ("predict", "predict_classes", "Classifier.layer"),
     "transforms": ("apply", "parse_transform"),
 }
 

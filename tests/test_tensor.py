@@ -1,4 +1,4 @@
-"""Parameters, ``ParamSet`` and the oracle tape.
+"""Parameters, their closed-form backward pass and the oracle tape.
 
 The library builds no graph, so the graphs here are built on the oracle
 tape (``Tensor``, ``backward``, ``add``, ``scale`` and
@@ -11,10 +11,12 @@ import pytest
 
 from arlab import tensor as T
 from arlab.errors import ShapeError
-from arlab.tensor import NonFiniteError, ParamSet, softmax_array
+from arlab.model import init, logits
+from arlab.tensor import NonFiniteError, softmax_array
 
 from gradcheck import max_rel_error
-from oracles import Tensor, add, backward, scale, softmax_cross_entropy
+from oracles import (Tensor, add, backward, parameters, scale, softmax_cross_entropy,
+                     zero_grads)
 
 
 def test_binary_ops_reject_nonscalar_broadcast():
@@ -145,7 +147,7 @@ def test_backward_accumulates_until_zeroed():
     assert np.allclose(once, ce_gradient(theta.data, y))
     backward(softmax_cross_entropy(theta, y))
     assert np.array_equal(theta.grad, once + once)
-    theta.zero_grad()
+    zero_grads([theta])
     backward(softmax_cross_entropy(theta, y))
     assert np.array_equal(theta.grad, once)
 
@@ -156,8 +158,7 @@ def test_backward_deterministic_with_zeroing():
     x = Tensor(rng.normal(size=(3, 4)))
 
     def run():
-        w.zero_grad()
-        x.zero_grad()
+        zero_grads([w, x])
         h = add(scale(x, 2.0), w)
         loss = add(softmax_cross_entropy(h, Y), scale(softmax_cross_entropy(w, Y), 0.5))
         backward(loss)
@@ -186,15 +187,23 @@ def test_diamond_graph_gradient():
     assert x.grad == 8.0
 
 
-def test_param_set_ordering_and_uniqueness():
-    ps = ParamSet()
-    ps.add("w1", T.Tensor(np.ones(2)))
-    ps.add("b1", T.Tensor(np.zeros(2)))
-    assert [name for name, _ in ps.items()] == ["w1", "b1"]
-    with pytest.raises(ValueError):
-        ps.add("w1", T.Tensor(np.ones(1)))
-    for t in ps.tensors():
-        t.grad = np.ones_like(t.data)
-    ps.zero_grad()
-    assert all(np.all(t.grad == 0) for t in ps.tensors())
+def test_library_backward_sets_gradients_rather_than_adding():
+    # a call leaves the sum over its own passes and nothing from an
+    # earlier call, so a training step needs no zeroing first
+    m = init([16, 8, 5, 3], seed=0)
+    rng = np.random.default_rng(3)
+    first = logits(m, rng.random((4, 4, 4)))
+    second = logits(m, rng.random((6, 4, 4)))
+    g1, g2 = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
 
+    def grads(passes):
+        T.backward(passes)
+        return [t.grad.copy() for t in parameters(m)]
+
+    once = grads([(first, g1)])
+    assert [g.shape for g in once] == [t.shape for t in parameters(m)]
+    for g, again in zip(once, grads([(first, g1)])):
+        assert np.array_equal(g, again)
+    alone = grads([(second, g2)])
+    for a, b, both in zip(once, alone, grads([(first, g1), (second, g2)])):
+        assert np.array_equal(both, a + b)

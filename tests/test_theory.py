@@ -34,12 +34,13 @@ from arlab.transforms import (
 )
 from arlab.wasserstein import pairwise_l1, w1_exact, w1_matrix
 
+from oracles import parameters
+
 
 def passthrough_model(k: int) -> Classifier:
     """Logits equal five times the flattened input (nonnegative inputs)."""
     model = init([k, k, k], seed=0)
-    w0, b0 = model.layer(0)
-    w1, b1 = model.layer(1)
+    (w0, b0), (w1, b1) = model.layers
     w0.data[:] = 5.0 * np.eye(k)
     w1.data[:] = np.eye(k)
     b0.data[:] = 0.0
@@ -147,7 +148,7 @@ class TestEfficiency:
         # a constant-representation model makes every non-identity pair
         # ambiguous at best; build a model collapsing everything to zero
         model = init([4, 4, 4], seed=0)
-        for name, t in model.params.items():
+        for t in parameters(model):
             t.data[:] = 0.0
         rng = np.random.default_rng(0)
         data = LabeledImages(rng.uniform(size=(30, 2, 2)), np.zeros(30, dtype=np.int64), 2)
@@ -290,7 +291,7 @@ class TestConfidenceLink:
         # weights scaled up 40-fold drive some true-class confidences below
         # the smallest double, where a ratio of confidences is inf or 0/0
         model = init([256, 16, 10], seed=0)
-        for t in model.params.tensors():
+        for t in parameters(model):
             t.data = t.data * 40.0
         data = gen_minidigits(50, seed=0)
         family = family_rotation()

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arlab import transforms
+from arlab import tensor, transforms
 from arlab.datasets import gen_minidigits
 from arlab.regularizers import ALIGN_KINDS
 from arlab.training import LrSchedule, TrainPlan, train
@@ -67,3 +67,25 @@ def test_aligned_training_step_reaches_the_traced_layers(calls_to):
     assert len(forward) == 2
     assert [args[0] for args in penalties] == ["sql2"]
     assert len(backward) == 1
+
+
+@pytest.mark.parametrize("mode,lam,kind", [("baseline", 0.0, None),
+                                           ("aligned-worst", 0.1, "disc")])
+def test_a_train_call_makes_one_tensor_per_parameter(mode, lam, kind, monkeypatch):
+    # the traced benchmark counts Tensor constructions as tensor.nodes; it
+    # stays the cells' parameter count only while no step builds a Tensor
+    made = []
+    original = tensor.Tensor.__init__
+
+    def counting(node, *args, **kwargs):
+        made.append(node)
+        original(node, *args, **kwargs)
+
+    monkeypatch.setattr(tensor.Tensor, "__init__", counting)
+    data = gen_minidigits(40, seed=0)
+    plan = TrainPlan(mode=mode, family=family_by_name("rotation"), lam=lam,
+                     align_kind=kind, epochs=2, lr=LrSchedule(0.01),
+                     batch_size=16, seed=0, hidden=(8, 6))
+    history = train(plan, data)
+    assert history.model.num_layers == 3
+    assert made == [t for layer in history.model.layers for t in layer]

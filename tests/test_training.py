@@ -35,6 +35,7 @@ from oracles import (
     composed_step,
     composed_step_loss,
     numpy_cross_entropy,
+    parameters,
     per_step_reference,
 )
 
@@ -69,7 +70,7 @@ def test_select_worst_singleton_family():
 def test_select_worst_constant_model_breaks_ties_low():
     data = small_data(8)
     m = init([256, 8, 10], seed=0)
-    for t in m.params.tensors():
+    for t in parameters(m):
         t.data = np.zeros_like(t.data)
     picks = select_worst(family_logits(m, data.images, family_rotation()), data.labels)
     assert np.array_equal(picks, np.zeros(8, dtype=int))
@@ -191,7 +192,7 @@ def test_train_deterministic():
     plan = plan_for("aligned-vertex", lam=0.01, align_kind="l1", epochs=2)
     h1, h2 = train(plan, data), train(plan, data)
     assert h1.losses == h2.losses
-    for (_, a), (_, b) in zip(h1.model.params.items(), h2.model.params.items()):
+    for a, b in zip(parameters(h1.model), parameters(h2.model)):
         assert np.array_equal(a.data, b.data)
 
 
@@ -245,7 +246,7 @@ def test_train_aux_kinds_run_and_stay_clipped():
     plan = plan_for("aligned-vertex", lam=0.1, align_kind="disc", epochs=2)
     hist = train(plan, data)
     assert len(hist.losses) == 2
-    assert np.all(np.isfinite(hist.model.params["w0"].data))
+    assert np.all(np.isfinite(hist.model.layers[0][0].data))
 
 
 VERTEX_CELLS = [("vanilla-aug", 0.0, None), ("aligned-vertex", 0.1, "sql2"),
@@ -263,8 +264,8 @@ def test_vertex_training_matches_per_step_reference(family, mode, lam, kind):
     got, want = train(plan, data), per_step_reference(plan, data)
     assert got.losses == want.losses
     assert got.penalties == want.penalties
-    for (name, a), (_, b) in zip(got.model.params.items(), want.model.params.items()):
-        assert np.array_equal(a.data, b.data), name
+    for i, (a, b) in enumerate(zip(parameters(got.model), parameters(want.model))):
+        assert np.array_equal(a.data, b.data), i
 
 
 def test_diverging_vertex_cell_fails_like_per_step_reference():
@@ -309,11 +310,10 @@ def sgd_steps(plan, data, step, batch_size=16):
     steps = []
     for start in range(0, len(data), batch_size):
         rows = np.arange(start, min(start + batch_size, len(data)))
-        model.params.zero_grad()
         loss, pen = step(plan, model, data.images[rows], data.labels[rows],
                          None if vertex is None else vertex[rows], aux)
-        steps.append((loss, pen, [t.grad.copy() for t in model.params.tensors()]))
-        for t in model.params.tensors():
+        steps.append((loss, pen, [t.grad.copy() for t in parameters(model)]))
+        for t in parameters(model):
             t.data = t.data - plan.lr.at(0) * t.grad
     return steps
 
@@ -344,11 +344,11 @@ def test_non_finite_cross_entropy_fails_before_the_penalty(assemble):
     augmented = training._vertex_copy(plan, images)
     # one hidden unit drives logits 0 and 1 toward +-1e308: finite, but the
     # log-softmax reaches -inf where the two meet, so the cross-entropy is NaN
-    w0, b0 = m.params["w0"].data, m.params["b0"].data
+    w0, b0 = (t.data for t in m.layers[0])
     hidden = np.maximum(np.concatenate([images, augmented]).reshape(16, -1) @ w0 + b0, 0.0)
     unit = int(np.argmax(hidden.max(axis=0)))
     c = 1e308 / hidden[:, unit].max()
-    m.params["w1"].data[unit, :2] = [c, -c]
+    m.layers[1][0].data[unit, :2] = [c, -c]
     pair = [logits(m, images), logits(m, augmented)]  # finite logits
     with pytest.raises(NonFiniteError):
         if assemble == "_assemble":
