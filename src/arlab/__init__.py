@@ -53,6 +53,7 @@ from .theory import (
     check_efficiency,
     check_prop_a2,
     check_vertices,
+    efficiency_masks,
     run_all_checks,
 )
 from .training import LrSchedule, TrainPlan, select_worst, train
@@ -98,6 +99,7 @@ __all__ = [
     "check_efficiency",
     "check_prop_a2",
     "check_vertices",
+    "efficiency_masks",
     "evaluate",
     "family_by_name",
     "family_contrast",

@@ -50,7 +50,7 @@ from .evaluation import (
 from .model import load_weights, save_weights
 from .theory import run_all_checks
 from .training import DEFAULT_SEEDS, LrSchedule, TrainPlan, default_lambda_grid, train
-from .transforms import FAMILY_NAMES, family_by_name
+from .transforms import FAMILY_NAMES, TransformFamily, family_by_name
 
 # method code -> (training mode, alignment kind); None kind means no penalty
 METHOD_SPECS = {
@@ -252,11 +252,11 @@ def _cell_name(method: str, lam: Optional[float], seed: int) -> str:
 
 
 def plan_for_cell(config: ExperimentConfig, method: str, lam: Optional[float],
-                  seed: int, image_size: int) -> TrainPlan:
+                  seed: int, family: TransformFamily) -> TrainPlan:
     mode, kind = METHOD_SPECS[method]
     return TrainPlan(
         mode=mode,
-        family=family_by_name(config.family, image_size),
+        family=family,
         lam=0.0 if lam is None else lam,
         align_kind=kind,
         epochs=config.epochs,
@@ -267,8 +267,9 @@ def plan_for_cell(config: ExperimentConfig, method: str, lam: Optional[float],
     )
 
 
-def _run_cell(config: ExperimentConfig, data: LabeledImages, hold_out: LabeledImages,
-              out_root: str, method: str, lam: Optional[float], seed: int) -> dict:
+def _run_cell(config: ExperimentConfig, family: TransformFamily, data: LabeledImages,
+              hold_out: LabeledImages, out_root: str, method: str,
+              lam: Optional[float], seed: int) -> dict:
     """Train one cell on the run's shared splits, save its weights, score it.
 
     Every source of randomness is seeded by the cell, so cells may run in
@@ -278,7 +279,7 @@ def _run_cell(config: ExperimentConfig, data: LabeledImages, hold_out: LabeledIm
     """
     cell_dir = Path(out_root) / _cell_name(method, lam, seed)
     cell_dir.mkdir(parents=True, exist_ok=True)
-    plan = plan_for_cell(config, method, lam, seed, data.images.shape[1])
+    plan = plan_for_cell(config, method, lam, seed, family)
     started = time.monotonic()
     record = {"method": method, "lambda": lam, "seed": seed, "mode": plan.mode,
               "align_kind": plan.align_kind, "dir": cell_dir.name}
@@ -304,7 +305,7 @@ def _run_cell(config: ExperimentConfig, data: LabeledImages, hold_out: LabeledIm
     return record
 
 
-# (config, data, hold_out, out_root), sent to each worker process once
+# (config, family, data, hold_out, out_root), sent to each worker process once
 # rather than pickled with every cell
 _worker_context: tuple = ()
 
@@ -383,9 +384,9 @@ def cmd_train(config_path: str, parallel: int = 1,
             "data: images of shape {}x{}, but the train split has {}x{}".format(
                 *hold_out.images.shape[1:], *data.images.shape[1:]))
     check_class_sizes(hold_out.labels, hold_out.num_classes)
-    # every cell builds this family; one the images cannot hold is found
-    # before any cell directory exists
-    family_by_name(config.family, data.images.shape[1])
+    # every cell trains and scores under this family; one the images cannot
+    # hold is found before any cell directory exists
+    family = family_by_name(config.family, data.images.shape[1])
 
     out = resolve_output_dir(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -395,7 +396,7 @@ def cmd_train(config_path: str, parallel: int = 1,
     (out / "config.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True))
 
     cells = _build_cells(config)
-    context = (config, data, hold_out, str(out))
+    context = (config, family, data, hold_out, str(out))
     started = time.monotonic()
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel, initializer=_init_worker,

@@ -22,30 +22,25 @@ from .tensor import _as_array, _log_softmax
 from .wasserstein import w1_matching
 
 ALIGN_KINDS = ("l1", "sql2", "cos", "kl", "w1-exact", "disc")
-AUX_KINDS = ("disc",)
 
 AUX_LR = 5e-4
 
 
 @dataclass
 class AuxParams:
-    """Adversarial auxiliary: an affine discriminator, as plain arrays.
+    """The ``disc`` penalty's affine discriminator, as plain arrays.
 
     It is trained by :func:`aux_update` alone, so it is no model parameter.
     """
 
-    kind: str
     w: np.ndarray
     bias: np.ndarray
-    lr: float
 
 
-def init_aux(kind: str, num_logits: int, seed: int, lr: float = AUX_LR) -> AuxParams:
-    """Seeded auxiliary parameters for a kind that needs them."""
-    if kind not in AUX_KINDS:
-        raise ValueError(f"kind {kind!r} takes no auxiliary parameters")
+def init_aux(num_logits: int, seed: int) -> AuxParams:
+    """Seeded discriminator over logit rows of width ``num_logits``."""
     rng = np.random.default_rng(seed)
-    return AuxParams(kind, rng.normal(0.0, 0.1, size=(num_logits, 1)), np.zeros(1), lr)
+    return AuxParams(rng.normal(0.0, 0.1, size=(num_logits, 1)), np.zeros(1))
 
 
 def _check_pair(u: np.ndarray, v: np.ndarray) -> int:
@@ -111,8 +106,8 @@ def penalty(kind: str, u: np.ndarray, v: np.ndarray, aux: Optional[AuxParams],
     """Alignment penalty between original logits u and augmented v.
 
     Returns the penalty's value and the gradients of ``g`` times the
-    penalty with respect to ``u`` and to ``v``.  ``aux`` is the auxiliary
-    of an adversarial kind, None for the others.
+    penalty with respect to ``u`` and to ``v``.  ``aux`` is the ``disc``
+    kind's discriminator, None for the other kinds.
     """
     if kind not in ALIGN_KINDS:
         raise ValueError(f"unknown alignment kind {kind!r}; choose from {ALIGN_KINDS}")
@@ -130,8 +125,8 @@ def penalty(kind: str, u: np.ndarray, v: np.ndarray, aux: Optional[AuxParams],
         # matched rows only
         sigma, _ = w1_matching(u, v)
         return _l1_penalty(u, v, b, sigma, g)
-    if aux is None or aux.kind != kind:
-        raise ValueError(f"kind {kind!r} requires matching auxiliary parameters")
+    if aux is None:
+        raise ValueError(f"kind {kind!r} requires its discriminator")
     if aux.w.shape[0] != u.shape[1]:
         raise ShapeError(f"auxiliary width {aux.w.shape[0]} != logit width {u.shape[1]}")
     return _disc_penalty(u, v, b, aux, g)
@@ -142,25 +137,19 @@ def discriminator_scores(z: np.ndarray, aux: AuxParams) -> np.ndarray:
     return z @ aux.w[:, 0] + aux.bias[0]
 
 
-def aux_update(kind: str, u: np.ndarray, v: np.ndarray, aux: AuxParams) -> AuxParams:
-    """One adversarial step on the auxiliary parameters.
+def aux_update(u: np.ndarray, v: np.ndarray, aux: AuxParams) -> AuxParams:
+    """One adversarial step of size ``AUX_LR`` on the discriminator.
 
     The discriminator descends binary cross-entropy with originals labeled
     real and augmented samples labeled fake.  Model logits enter as plain
     arrays.
     """
-    if kind not in AUX_KINDS:
-        raise ValueError(f"kind {kind!r} has no auxiliary update")
-    if aux.kind != kind:
-        raise ValueError(f"auxiliary was built for {aux.kind!r}, not {kind!r}")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
     d_u = discriminator_scores(u, aux)
     d_v = discriminator_scores(v, aux)
     su = expit(-d_u)[:, None]
     sv = expit(d_v)[:, None]
     grad_w = (-(su * u).mean(axis=0) + (sv * v).mean(axis=0))[:, None]
     grad_b = float(-su.mean() + sv.mean())
-    aux.w = aux.w - aux.lr * grad_w
-    aux.bias = aux.bias - aux.lr * grad_b
+    aux.w = aux.w - AUX_LR * grad_w
+    aux.bias = aux.bias - AUX_LR * grad_b
     return aux

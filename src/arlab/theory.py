@@ -14,10 +14,9 @@ samples under each of the family's t members (``model.family_logits``);
 member 0 is the identity, so slice 0 holds the plain logits.  The vertex
 check and the matching identity also read one (t, t) matrix of exact W1
 distances between members (``wasserstein.w1_matrix``), which solves each
-unordered pair once: ``check_vertices(w1, family)`` takes its extremes
-from it and ``check_prop_a2(cube, w1, family, tol)`` its W1 side from
-row 0.  ``run_all_checks`` builds the cube and the matrix once per
-(model, data, family).
+unordered pair once, and both A2 checks read each member's efficiency
+mask (``efficiency_masks``).  ``run_all_checks`` builds the cube, the
+matrix and the masks once per (model, data, family).
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .transforms import TransformFamily
 from .wasserstein import pairwise_l1, w1_matrix
 
 WITNESS_CAP = 10
+TOL = 1e-9  # float slack when two W1 or L1 sums are compared
 # the efficiency check and every exact W1 solve build an n x n float64 cost
 # matrix, 200 MB at this size, and the Hungarian solve is cubic in n
 _MAX_SAMPLES = 5000
@@ -70,21 +70,24 @@ class AssumptionReport:
         return out
 
 
-def _efficient(z: np.ndarray, za: np.ndarray) -> np.ndarray:
-    """Per-sample mask of the efficiency condition for one member.
+def efficiency_masks(cube: np.ndarray) -> list:
+    """Per-sample masks of the efficiency condition, one for each member.
 
     A pair (x, a) is efficient when f(a(x)) is at least as close, in L1, to
     f(x) as to the representation of any other sample.
     """
-    dists = pairwise_l1(za, z)
-    own = np.diag(dists).copy()
-    np.fill_diagonal(dists, np.inf)
-    return own <= dists.min(axis=1)
+    masks = []
+    for za in cube:
+        dists = pairwise_l1(za, cube[0])
+        own = np.diag(dists).copy()
+        np.fill_diagonal(dists, np.inf)
+        masks.append(own <= dists.min(axis=1))
+        del dists  # one n x n matrix at a time, not two
+    return masks
 
 
-def check_efficiency(cube: np.ndarray, family: TransformFamily) -> AssumptionReport:
+def check_efficiency(masks: list, family: TransformFamily) -> AssumptionReport:
     """Fraction of (sample, transform) pairs meeting the efficiency condition."""
-    masks = [_efficient(cube[0], za) for za in cube]
     witnesses = []
     for t, mask in zip(family, masks):
         for i in np.flatnonzero(~mask):
@@ -108,8 +111,8 @@ class PropA2Entry:
     holds: bool
 
 
-def check_prop_a2(cube: np.ndarray, w1: np.ndarray, family: TransformFamily,
-                  tol: float = 1e-9) -> list:
+def check_prop_a2(cube: np.ndarray, w1: np.ndarray, masks: list,
+                  family: TransformFamily) -> list:
     """Compare exact W1 against the per-pair L1 sum for every member.
 
     The W1 side of member j is ``w1[0, j]``, its distance to the identity.
@@ -121,11 +124,11 @@ def check_prop_a2(cube: np.ndarray, w1: np.ndarray, family: TransformFamily,
     """
     z = cube[0]
     entries = []
-    for t, za, lhs in zip(family, cube, w1[0].tolist()):
+    for t, za, lhs, mask in zip(family, cube, w1[0].tolist(), masks):
         rhs = float(np.abs(z - za).sum())
         gap = rhs - lhs
-        frac = float(_efficient(z, za).mean())
-        holds = gap <= tol
+        frac = float(mask.mean())
+        holds = gap <= TOL
         if frac == 1.0 and not holds:
             raise AssertionError(
                 f"matching identity violated under full efficiency for {t.name()}")
@@ -142,7 +145,7 @@ def check_vertices(w1: np.ndarray, family: TransformFamily) -> AssumptionReport:
     argmax_pair = sorted(int(x) for x in arg)
     designated = sorted((family.vertex_plus, family.vertex_minus))
     designated_value = float(w1[designated[0], designated[1]])
-    attained = designated_value >= best - 1e-9
+    attained = designated_value >= best - TOL
     detail = {
         "designated_pair": designated,
         "designated_w1": designated_value,
@@ -262,15 +265,16 @@ def run_all_checks(model: Classifier, data: LabeledImages,
             f"data: {len(data)} samples, but the theory checks take at most {_MAX_SAMPLES}")
     cube = family_logits(model, data.images, family)
     w1 = w1_matrix(cube)
+    masks = efficiency_masks(cube)
     labels = data.labels
     return {
         "family": family.family_name,
         "samples": len(data),
-        "A2": check_efficiency(cube, family).to_json(),
+        "A2": check_efficiency(masks, family).to_json(),
         "A3": check_vertices(w1, family).to_json(),
         "A5": {"assumption": "A5", "note": A5_NOTE},
         "A6": check_a6(cube, labels).to_json(),
-        "matching_identity": [asdict(e) for e in check_prop_a2(cube, w1, family)],
+        "matching_identity": [asdict(e) for e in check_prop_a2(cube, w1, masks, family)],
         "bounds": {mode: bound_terms(cube, labels, cube, labels, family, mode).to_json()
                    for mode in ("worst-case", "vertex")},
     }

@@ -25,7 +25,7 @@ from . import tensor as T
 from .datasets import LabeledImages, batches, one_hot
 from .errors import ConfigError, DegenerateInputError, DivergenceError, ShapeError
 from .model import Classifier, init, logits, logits_array
-from .regularizers import AUX_KINDS, ALIGN_KINDS, AuxParams, aux_update, init_aux, penalty
+from .regularizers import ALIGN_KINDS, AuxParams, aux_update, init_aux, penalty
 from .tensor import NonFiniteError, _as_array, _log_softmax, softmax_array
 from .transforms import TransformFamily, apply_batch
 
@@ -99,7 +99,7 @@ class TrainPlan:
 
     @property
     def needs_aux(self) -> bool:
-        return self.uses_penalty and self.align_kind in AUX_KINDS
+        return self.uses_penalty and self.align_kind == "disc"
 
 
 @dataclass
@@ -226,8 +226,7 @@ def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
     widths = (data.images.shape[1] * data.images.shape[2],
               *plan.hidden, data.num_classes)
     model = init(widths, plan.seed)
-    aux = (init_aux(plan.align_kind, data.num_classes, plan.seed)
-           if plan.needs_aux else None)
+    aux = init_aux(data.num_classes, plan.seed) if plan.needs_aux else None
     vertex = _vertex_copy(plan, data.images)
     losses, penalties = [], []
     # the finite checks, not numpy's warnings, report a diverging step
@@ -241,7 +240,7 @@ def train(plan: TrainPlan, data: LabeledImages) -> RunHistory:
                     pair = _forwards(plan, model, images, labels,
                                      None if vertex is None else vertex[rows])
                     if aux is not None:
-                        aux_update(plan.align_kind, pair[0].logits, pair[1].logits, aux)
+                        aux_update(pair[0].logits, pair[1].logits, aux)
                     step = _assemble(plan, pair, labels, aux)
                     T.backward(step.passes)
                 except NonFiniteError as exc:

@@ -198,11 +198,12 @@ def _scaled_radii(image_size: int) -> list[float]:
 
 
 def family_texture(image_size: int = 28) -> TransformFamily:
-    """Identity plus four concentric low-pass filters; extreme = tightest."""
+    """Identity plus four distinct concentric low-pass filters; extreme = tightest."""
     radii = _scaled_radii(image_size)
-    if min(radii) < 1:
+    if min(radii) < 1 or len(set(radii)) < len(radii):
         raise ConfigError(
-            f"family: texture on {image_size}-pixel images rounds a filter radius to 0")
+            f"family: texture on {image_size}-pixel images rounds the filter radii to "
+            f"{', '.join(map(_fmt, radii))}, not four distinct radii of at least 1")
     members = (Identity(),) + tuple(FreqCutoff(r) for r in radii)
     return TransformFamily("texture", members, 0, 4)
 

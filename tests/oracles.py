@@ -276,8 +276,7 @@ def composed_step(plan, model, images, labels, vertex, aux):
     """
     augmented = paired_copy(plan, model, images, labels, vertex)
     if aux is not None:
-        aux_update(plan.align_kind, logits_array(model, images),
-                   logits_array(model, augmented), aux)
+        aux_update(logits_array(model, images), logits_array(model, augmented), aux)
     loss, pen = composed_step_loss(plan, model, images, labels, augmented, aux)
     zero_grads(parameters(model))
     backward(loss)
@@ -292,7 +291,7 @@ def closed_form_step(plan, model, images, labels, vertex, aux):
     """
     pair = training._forwards(plan, model, images, labels, vertex)
     if aux is not None:
-        aux_update(plan.align_kind, pair[0].logits, pair[1].logits, aux)
+        aux_update(pair[0].logits, pair[1].logits, aux)
     step = training._assemble(plan, pair, labels, aux)
     T.backward(step.passes)
     return step.value, step.penalty
@@ -306,8 +305,7 @@ def per_step_reference(plan, data, step=closed_form_step):
     widths = (data.images.shape[1] * data.images.shape[2], *plan.hidden,
               data.num_classes)
     model = init(widths, plan.seed)
-    aux = (init_aux(plan.align_kind, data.num_classes, plan.seed)
-           if plan.needs_aux else None)
+    aux = init_aux(data.num_classes, plan.seed) if plan.needs_aux else None
     losses, penalties = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(plan.epochs):

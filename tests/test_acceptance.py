@@ -27,7 +27,7 @@ from arlab.evaluation import evaluate
 from arlab.model import Classifier, init, logits_array, save_weights
 from arlab.regularizers import init_aux
 from arlab.tensor import backward
-from arlab.theory import check_efficiency, check_prop_a2
+from arlab.theory import check_efficiency, check_prop_a2, efficiency_masks
 from arlab.training import (LrSchedule, TrainPlan, default_lambda_grid,
                             select_worst, step_loss, train)
 from arlab.transforms import (Identity, PixelMap, Rotate, TransformFamily,
@@ -110,7 +110,7 @@ def test_criterion_1_gradients_match_finite_differences():
     results = {}
     for mode, kind in modes:
         model = init([12, 7, 5, 4], seed=11)  # two hidden layers
-        aux = init_aux(kind, 4, seed=3) if kind == "disc" else None
+        aux = init_aux(4, seed=3) if kind == "disc" else None
         plan = TrainPlan(mode, family=family,
                          lam=0.05 if kind else 0.0, align_kind=kind)
         worst = _sampled_coordinate_check(plan, model, batch, aux)
@@ -166,14 +166,16 @@ def test_criterion_3_matching_identity_and_strict_violation():
     efficient = row_data(np.eye(4), [0, 1, 2, 3], 4)
     shrink = TransformFamily("shrinkpair",
                              (Identity(), PixelMap(0.9, False)), 0, 1)
-    report = check_efficiency(
-        np.stack([logits_array(model, apply_batch(a, efficient.images)) for a in shrink]),
+    report = check_efficiency(efficiency_masks(
+        np.stack([logits_array(model, apply_batch(a, efficient.images)) for a in shrink])),
         shrink)
     assert report.fraction == 1.0, "fixture must verifiably satisfy efficiency"
     entries = check_prop_a2(
         np.stack([logits_array(model, apply_batch(a, efficient.images)) for a in shrink]),
         w1_matrix(np.stack([logits_array(model, apply_batch(a, efficient.images))
                             for a in shrink])),
+        efficiency_masks(np.stack([logits_array(model, apply_batch(a, efficient.images))
+                                   for a in shrink])),
         shrink)
     for entry in entries:
         assert entry.holds
@@ -189,14 +191,17 @@ def test_criterion_3_matching_identity_and_strict_violation():
     # while the per-pair sum stays far from zero.
     swapped = row_data([[0.8, 0.2], [0.2, 0.8]], [0, 1], 2)
     negate = TransformFamily("negpair", (Identity(), PixelMap(1.0, True)), 0, 1)
-    assert check_efficiency(np.stack([logits_array(model2 := passthrough_model(2),
-                                                   apply_batch(a, swapped.images))
-                                      for a in negate]), negate).fraction < 1.0
+    assert check_efficiency(efficiency_masks(np.stack([logits_array(
+        model2 := passthrough_model(2), apply_batch(a, swapped.images))
+        for a in negate])), negate).fraction < 1.0
     violating = [e for e in check_prop_a2(
                      np.stack([logits_array(model2, apply_batch(a, swapped.images))
                                for a in negate]),
                      w1_matrix(np.stack([logits_array(model2, apply_batch(a, swapped.images))
-                                         for a in negate])), negate)
+                                         for a in negate])),
+                     efficiency_masks(np.stack([logits_array(model2,
+                                                             apply_batch(a, swapped.images))
+                                                for a in negate])), negate)
                  if e.transform != "identity"]
     assert len(violating) == 1
     entry = violating[0]

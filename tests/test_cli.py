@@ -17,6 +17,7 @@ from arlab.errors import ConfigError
 from arlab.evaluation import MetricsRow, rows_from_csv
 from arlab.model import init, save_weights
 from arlab.training import train
+from arlab.transforms import family_by_name
 
 
 def base_config(out_dir, **overrides) -> dict:
@@ -249,7 +250,8 @@ class TestTrain:
         assert main(["train", "--config", str(config_path)]) == 0
         record = json.loads((out / "S_0.01_0" / "run.json").read_text())
         config = parse_config(json.loads(config_path.read_text()))
-        history = train(cli.plan_for_cell(config, "S", 0.01, 0, 16),
+        history = train(cli.plan_for_cell(config, "S", 0.01, 0,
+                                          family_by_name(config.family, 16)),
                         gen_minidigits(80, seed=0))
         assert record["losses"] == history.losses
         assert record["penalties"] == history.penalties
@@ -355,6 +357,28 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_texture_with_repeated_radii_exits_2_before_training(self, tmp_path, capsys):
+        # 8-pixel minidigits round two pairs of texture radii onto one value
+        config_path, out = write_config(
+            tmp_path, family="texture",
+            dataset={"kind": "minidigits", "n": 80, "seed": 0, "size": 8})
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert ("config error: family: texture on 8-pixel images"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_family_is_built_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return family_by_name(*args)
+
+        monkeypatch.setattr(cli, "family_by_name", counting)
+        config_path, _ = write_config(tmp_path, methods=["B", "V", "S"], seeds=[0, 1])
+        assert main(["train", "--config", str(config_path)]) == 0
+        assert calls == [("rotation", 16)]
+
     def test_splits_are_built_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 
@@ -449,6 +473,15 @@ class TestEval:
                      "--data", f"{images_path},{labels_path}", "--family", "texture"])
         assert code == 2
         assert "config error: family: texture on 2-pixel images" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "theory"])
+    def test_texture_with_repeated_radii_exits_2(self, tmp_path, capsys, command):
+        weights = tmp_path / "small.bin"
+        save_weights(init([64, 8, 10], seed=0), weights)
+        code = main([command, "--weights", str(weights),
+                     "--data", "minidigits:40:0:8", "--family", "texture"])
+        assert code == 2
+        assert "config error: family: texture on 8-pixel images" in capsys.readouterr().err
 
     def test_missing_weights_exits_3(self, tmp_path):
         code = main(["eval", "--weights", str(tmp_path / "ghost.bin"),

@@ -12,7 +12,7 @@ REMOVED = {
     "tensor": ("dft2", "idft2", "softmax", "ParamSet", "Tensor.zero_grad", "sub", "mul",
                "matmul", "add_bias", "relu", "absolute", "softplus", "take_rows",
                "reduce_sum", "reduce_mean"),
-    "regularizers": ("critic_objective", "CRITIC_CLIP", "AuxParams.zero_grad"),
+    "regularizers": ("critic_objective", "CRITIC_CLIP", "AuxParams.zero_grad", "AUX_KINDS"),
     "evaluation": ("wasserstein_invariance", "invariance_score"),
     "model": ("predict", "predict_classes", "Classifier.layer"),
     "transforms": ("apply", "parse_transform"),

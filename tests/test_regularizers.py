@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from arlab.errors import DegenerateInputError, ShapeError
+from arlab import regularizers
 from arlab.regularizers import (
     ALIGN_KINDS,
-    AUX_KINDS,
-    AuxParams,
     aux_update,
     discriminator_scores,
     init_aux,
@@ -137,7 +136,7 @@ def test_identity_pairing_used_when_rows_are_each_others_nearest():
 
 def test_disc_penalty_formula_and_gradient():
     u, v = pair(10, b=4, k=3)
-    aux = init_aux("disc", 3, seed=1)
+    aux = init_aux(3, seed=1)
     d_u = discriminator_scores(u, aux)
     d_v = discriminator_scores(v, aux)
     expect = np.mean(np.logaddexp(0.0, -d_v)) + np.mean(np.logaddexp(0.0, d_u))
@@ -161,7 +160,7 @@ def test_each_penalty_is_one_node_over_the_logit_pair(kind):
     # gradients of g times the penalty, which scale with g
     u, v = pair(12)
     before = u.copy(), v.copy()
-    aux = init_aux(kind, 3, seed=2) if kind in AUX_KINDS else None
+    aux = init_aux(3, seed=2) if kind == "disc" else None
     val, gu, gv = penalty(kind, u, v, aux, 1.0)
     assert isinstance(val, float)
     assert gu.shape == u.shape and gv.shape == v.shape
@@ -173,12 +172,12 @@ def test_each_penalty_is_one_node_over_the_logit_pair(kind):
 
 def test_discriminator_stays_at_chance_on_identical_distributions():
     rng = np.random.default_rng(14)
-    aux = init_aux("disc", 3, seed=4)
+    aux = init_aux(3, seed=4)
     accs = []
     for _ in range(100):
         z = rng.normal(size=(16, 3))
         u, v = z[:8], z[8:]
-        aux_update("disc", u, v, aux)
+        aux_update(u, v, aux)
         d_u = discriminator_scores(u, aux)
         d_v = discriminator_scores(v, aux)
         correct = (d_u > 0).sum() + (d_v <= 0).sum()
@@ -186,28 +185,18 @@ def test_discriminator_stays_at_chance_on_identical_distributions():
     assert abs(np.mean(accs) - 0.5) <= 0.1
 
 
-def test_discriminator_learns_separated_distributions():
+def test_discriminator_learns_separated_distributions(monkeypatch):
+    monkeypatch.setattr(regularizers, "AUX_LR", 0.5)
     rng = np.random.default_rng(15)
-    aux = init_aux("disc", 2, seed=5, lr=0.5)
+    aux = init_aux(2, seed=5)
     for _ in range(200):
         u = rng.normal(loc=3.0, size=(16, 2))
         v = rng.normal(loc=-3.0, size=(16, 2))
-        aux_update("disc", u, v, aux)
+        aux_update(u, v, aux)
     d_u = discriminator_scores(rng.normal(loc=3.0, size=(64, 2)), aux)
     d_v = discriminator_scores(rng.normal(loc=-3.0, size=(64, 2)), aux)
     acc = ((d_u > 0).sum() + (d_v <= 0).sum()) / 128
     assert acc > 0.9
-
-
-def test_aux_update_rejects_wrong_kind():
-    u, v = pair(16)
-    aux = init_aux("disc", 3, seed=6)
-    with pytest.raises(ValueError):
-        aux_update("l1", u, v, aux)
-    with pytest.raises(ValueError):
-        aux_update("disc", u, v, AuxParams("l1", aux.w, aux.bias, aux.lr))
-    with pytest.raises(ValueError):
-        init_aux("l1", 3, seed=0)
 
 
 def test_all_kinds_enumerated():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from arlab.theory import (
     check_efficiency,
     check_prop_a2,
     check_vertices,
+    efficiency_masks,
     run_all_checks,
 )
 from arlab.training import select_worst
@@ -57,10 +59,14 @@ def cube_of(model, data, family):
     return family_logits(model, data.images, family)
 
 
+def efficiency_of(model, data, family):
+    return check_efficiency(efficiency_masks(cube_of(model, data, family)), family)
+
+
 def prop_a2_of(model, data, family):
     """The matching identity, its W1 side read off the cube's W1 matrix."""
     cube = cube_of(model, data, family)
-    return check_prop_a2(cube, w1_matrix(cube), family)
+    return check_prop_a2(cube, w1_matrix(cube), efficiency_masks(cube), family)
 
 
 def vertices_of(model, data, family):
@@ -104,8 +110,7 @@ class TestEfficiency:
         # distinct one-hot rows stay distinct, and every transformed copy
         # coincides with its own representation
         data = row_data(np.eye(4), [0, 1, 2, 3], 4)
-        rep = check_efficiency(cube_of(passthrough_model(4), data, IDENTITY_PAIR),
-                               IDENTITY_PAIR)
+        rep = efficiency_of(passthrough_model(4), data, IDENTITY_PAIR)
         assert rep.fraction == 1.0
         assert rep.witnesses == []
         assert set(rep.detail["per_transform"]) == {"identity", "pix:1:0"}
@@ -115,7 +120,7 @@ class TestEfficiency:
         # (0.5, 0): distance zero to a foreign sample, 2.5 to its own
         data = row_data([[1.0, 0.0], [0.5, 0.0]], [0, 0], 2)
         family = TransformFamily("halve", (Identity(), PixelMap(0.5, False)), 0, 1)
-        rep = check_efficiency(cube_of(passthrough_model(2), data, family), family)
+        rep = efficiency_of(passthrough_model(2), data, family)
         assert rep.fraction == pytest.approx(0.75)
         assert rep.witnesses == [{"transform": "pix:0.5:0", "sample": 0}]
         assert rep.detail["per_transform"]["identity"] == 1.0
@@ -125,7 +130,7 @@ class TestEfficiency:
         data = gen_minidigits(12, seed=5)
         model = init([256, 16, 10], seed=7)
         family = family_rotation()
-        rep = check_efficiency(cube_of(model, data, family), family)
+        rep = efficiency_of(model, data, family)
 
         z = logits_array(model, data.images)
         hits = total = 0
@@ -152,9 +157,22 @@ class TestEfficiency:
             t.data[:] = 0.0
         rng = np.random.default_rng(0)
         data = LabeledImages(rng.uniform(size=(30, 2, 2)), np.zeros(30, dtype=np.int64), 2)
-        rep = check_efficiency(cube_of(model, data, IDENTITY_PAIR), IDENTITY_PAIR)
+        rep = efficiency_of(model, data, IDENTITY_PAIR)
         # all distances are zero, so ties satisfy the condition everywhere
         assert rep.fraction == 1.0
+
+
+    def test_masks_hold_one_cost_matrix_at_a_time(self):
+        # each member's n x n cost matrix is freed before the next is built
+        n = 400
+        cube = np.random.default_rng(0).normal(size=(3, n, 10))
+        tracemalloc.start()
+        try:
+            efficiency_masks(cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
 
 class TestMatchingIdentity:
@@ -422,6 +440,14 @@ class TestRunAll:
         run_all_checks(init([256, 8, 10], seed=10), gen_minidigits(8, seed=10), family)
         t = len(family)
         assert len(calls) == t * (t - 1) // 2
+
+    def test_builds_each_efficiency_mask_once(self, calls_to):
+        # 10 cost matrices for the W1 pairs of rotation's five members, and
+        # one per member for the efficiency masks both A2 checks read
+        calls = calls_to("wasserstein.pairwise_l1")
+        run_all_checks(init([256, 8, 10], seed=10), gen_minidigits(8, seed=10),
+                       family_rotation())
+        assert len(calls) == 15
 
     def test_matching_identity_reads_the_vertex_matrix(self):
         family = family_rotation()

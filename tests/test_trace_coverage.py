@@ -69,6 +69,19 @@ def test_aligned_training_step_reaches_the_traced_layers(calls_to):
     assert len(backward) == 1
 
 
+def test_disc_step_reaches_the_traced_discriminator_layers(calls_to):
+    updates = calls_to("regularizers.aux_update")
+    penalties = calls_to("regularizers.penalty")
+    data = gen_minidigits(20, seed=0)
+    plan = TrainPlan(mode="aligned-vertex", family=family_by_name("rotation"),
+                     lam=0.1, align_kind="disc", epochs=1, lr=LrSchedule(0.01),
+                     batch_size=20, seed=0, hidden=(8,))
+    history = train(plan, data)
+    assert np.isfinite(history.losses[0])
+    assert len(updates) == 1
+    assert [args[0] for args in penalties] == ["disc"]
+
+
 @pytest.mark.parametrize("mode,lam,kind", [("baseline", 0.0, None),
                                            ("aligned-worst", 0.1, "disc")])
 def test_a_train_call_makes_one_tensor_per_parameter(mode, lam, kind, monkeypatch):

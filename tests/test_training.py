@@ -305,7 +305,7 @@ def sgd_steps(plan, data, step, batch_size=16):
     Returns every step's loss value, penalty value and parameter gradients.
     """
     model = init((256, 12, 10), plan.seed)
-    aux = init_aux(plan.align_kind, 10, plan.seed) if plan.needs_aux else None
+    aux = init_aux(10, plan.seed) if plan.needs_aux else None
     vertex = training._vertex_copy(plan, data.images)
     steps = []
     for start in range(0, len(data), batch_size):
@@ -367,7 +367,7 @@ def test_a_step_is_one_node_per_forward_pass_penalty_and_loss(mode, lam, kind, n
     data = small_data(8, seed=20)
     m = init([256, 8, 10], seed=20)
     plan = plan_for(mode, lam=lam, align_kind=kind)
-    aux = init_aux(kind, 10, seed=20) if plan.needs_aux else None
+    aux = init_aux(10, seed=20) if plan.needs_aux else None
     forwards = calls_to("model.logits")
     penalties = calls_to("regularizers.penalty")
     made = []

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from arlab.errors import ConfigError
 from arlab.transforms import (
     FreqCutoff,
     Identity,
@@ -191,6 +192,19 @@ def test_family_texture_shape():
 def test_family_texture_radii_scale_with_image_size():
     fam = family_texture(16)
     assert [t.radius for t in fam.members[1:]] == [7.0, 6.0, 5.0, 3.0]
+
+
+@pytest.mark.parametrize("size", [*range(3, 11), 12])
+def test_family_texture_rejects_sizes_that_repeat_a_radius(size):
+    # at 8 pixels the radii round to 3, 3, 2, 2: two members would repeat
+    with pytest.raises(ConfigError, match=f"^family: texture on {size}-pixel images"):
+        family_texture(size)
+
+
+@pytest.mark.parametrize("size", [11, 13, 16, 28])
+def test_family_texture_radii_are_distinct(size):
+    radii = [t.radius for t in family_texture(size).members[1:]]
+    assert len(set(radii)) == 4 and min(radii) >= 1
 
 
 def test_family_rotation_shape():
