@@ -2,6 +2,21 @@
 
 The synthetic set ("minidigits") renders seven-segment digit glyphs with
 jittered strokes so that experiments run end to end without any download.
+
+Its draw order is a contract: a split is a pure function of (n, seed,
+image_size) only while every image, in row order, makes these calls on one
+``default_rng(seed)`` generator:
+
+1. ``uniform(-0.8, 0.8)`` twice, the x and then the y shift;
+2. ``uniform(-0.4, 0.4, size=4)`` per stroke of the digit, in
+   ``_DIGIT_SEGMENTS`` order, jittering (x0, y0, x1, y1);
+3. ``uniform(0.75, 1.0)``, the stroke amplitude;
+4. ``normal(0.0, 0.02, size=(image_size, image_size))``, the pixel noise.
+
+Nothing drawn depends on a pixel, so ``gen_minidigits`` makes every draw
+first and then renders the strokes in row blocks.  Each pixel is computed
+with the same float operations, in the same association, as rendering the
+glyph alone right after its own draws, so the images are the same bits.
 """
 
 from __future__ import annotations
@@ -130,44 +145,73 @@ _DIGIT_SEGMENTS = [
 ]
 
 
-def _render_glyph(digit: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    s = size / 16.0
-    ys, xs = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    shift_x = rng.uniform(-0.8, 0.8) * s
-    shift_y = rng.uniform(-0.8, 0.8) * s
-    img = np.zeros((size, size))
-    for name in _DIGIT_SEGMENTS[digit]:
-        x0, y0, x1, y1 = (v * s for v in _SEGMENTS[name])
-        jitter = rng.uniform(-0.4, 0.4, size=4) * s
-        x0 += jitter[0] + shift_x
-        y0 += jitter[1] + shift_y
-        x1 += jitter[2] + shift_x
-        y1 += jitter[3] + shift_y
-        dx, dy = x1 - x0, y1 - y0
-        length_sq = dx * dx + dy * dy
-        if length_sq < 1e-12:
-            dist = np.hypot(xs - x0, ys - y0)
-        else:
-            t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / length_sq, 0.0, 1.0)
-            dist = np.hypot(xs - (x0 + t * dx), ys - (y0 + t * dy))
-        stroke = np.clip(1.4 * s - dist, 0.0, 1.0)
-        img = np.maximum(img, stroke)
-    img *= rng.uniform(0.75, 1.0)
-    img += rng.normal(0.0, 0.02, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
+# for each digit, the indices into _SEGMENTS of its strokes in drawing order,
+# and whether it has each segment
+_DIGIT_STROKES = [[list(_SEGMENTS).index(name) for name in segments]
+                  for segments in _DIGIT_SEGMENTS]
+_HAS_STROKE = np.array([[name in segments for name in _SEGMENTS]
+                        for segments in _DIGIT_SEGMENTS])
+
+_BLOCK_ROWS = 64
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def gen_minidigits(n: int, seed: int, image_size: int = 16) -> LabeledImages:
     """Generate n seven-segment digit images with round-robin labels.
 
     Deterministic for a given (n, seed, image_size); classes stay balanced
-    because label i is simply i mod 10.
+    because label i is simply i mod 10.  See the module docstring for the
+    order of the random draws.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_count("n", n)
+    _check_count("image_size", image_size)
     rng = np.random.default_rng(seed)
     labels = np.arange(n, dtype=np.int64) % 10
-    images = np.stack([_render_glyph(int(d), image_size, rng) for d in labels])
+    s = image_size / 16.0
+    shifts = np.empty((n, 2))
+    jitter = np.zeros((n, len(_SEGMENTS), 4))
+    amplitude = np.empty(n)
+    images = np.empty((n, image_size, image_size))
+    # draw pass: every image's random numbers, its noise straight into images
+    for i, digit in enumerate(labels.tolist()):
+        shifts[i] = rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)
+        for g in _DIGIT_STROKES[digit]:
+            jitter[i, g] = rng.uniform(-0.4, 0.4, size=4)
+        amplitude[i] = rng.uniform(0.75, 1.0)
+        images[i] = rng.normal(0.0, 0.02, size=(image_size, image_size))
+    # segment ends (x0, y0, x1, y1) as canvas position + (jitter + shift),
+    # summed in place in that association
+    ends = jitter
+    ends *= s
+    ends += shifts[:, None, [0, 1, 0, 1]] * s
+    ends += np.array(list(_SEGMENTS.values())) * s
+    # render pass: each segment for every row of a block that has it
+    ys, xs = np.meshgrid(np.arange(image_size), np.arange(image_size), indexing="ij")
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        glyphs = np.zeros_like(images[rows])
+        for g in range(len(_SEGMENTS)):
+            hit = np.flatnonzero(_HAS_STROKE[labels[rows], g])
+            if not hit.size:
+                continue
+            x0, y0, x1, y1 = ends[start + hit, g].T[:, :, None, None]
+            dx, dy = x1 - x0, y1 - y0
+            length_sq = dx * dx + dy * dy
+            # a point segment (length_sq < 1e-12) keeps t = 0, and x0 + 0 * dx
+            # is x0, so its stroke is the distance to (x0, y0)
+            t = np.divide((xs - x0) * dx + (ys - y0) * dy, length_sq,
+                          out=np.zeros((hit.size, image_size, image_size)),
+                          where=length_sq >= 1e-12)
+            np.clip(t, 0.0, 1.0, out=t)
+            dist = np.hypot(xs - (x0 + t * dx), ys - (y0 + t * dy))
+            glyphs[hit] = np.maximum(glyphs[hit], np.clip(1.4 * s - dist, 0.0, 1.0))
+        glyphs *= amplitude[rows, None, None]
+        images[rows] += glyphs
+        np.clip(images[rows], 0.0, 1.0, out=images[rows])
     return LabeledImages(images, labels, 10)
 
 

@@ -26,6 +26,10 @@
 - :func:`numpy_cross_entropy` is a graph-free mean cross-entropy.
 - :func:`brute_force_w1` is the exact empirical W1 distance, found by
   enumerating every pairing.
+- :func:`per_glyph_minidigits` renders minidigits one glyph at a time,
+  drawing each glyph's random numbers just before it renders them.  The
+  library draws them all first and renders in row blocks
+  (``datasets.gen_minidigits``).
 """
 
 import itertools
@@ -34,7 +38,7 @@ import numpy as np
 
 from arlab import tensor as T
 from arlab import training
-from arlab.datasets import one_hot
+from arlab.datasets import _DIGIT_SEGMENTS, _SEGMENTS, LabeledImages, one_hot
 from arlab.errors import DivergenceError, ShapeError
 from arlab.model import family_logits, init, logits, logits_array
 from arlab.regularizers import aux_update, init_aux, penalty
@@ -379,3 +383,38 @@ def brute_force_w1(u, v):
         total = sum(np.abs(u[i] - v[perm[i]]).sum() for i in range(b))
         best = min(best, total)
     return best
+
+
+def _render_glyph(digit, size, rng):
+    s = size / 16.0
+    ys, xs = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    shift_x = rng.uniform(-0.8, 0.8) * s
+    shift_y = rng.uniform(-0.8, 0.8) * s
+    img = np.zeros((size, size))
+    for name in _DIGIT_SEGMENTS[digit]:
+        x0, y0, x1, y1 = (v * s for v in _SEGMENTS[name])
+        jitter = rng.uniform(-0.4, 0.4, size=4) * s
+        x0 += jitter[0] + shift_x
+        y0 += jitter[1] + shift_y
+        x1 += jitter[2] + shift_x
+        y1 += jitter[3] + shift_y
+        dx, dy = x1 - x0, y1 - y0
+        length_sq = dx * dx + dy * dy
+        if length_sq < 1e-12:
+            dist = np.hypot(xs - x0, ys - y0)
+        else:
+            t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / length_sq, 0.0, 1.0)
+            dist = np.hypot(xs - (x0 + t * dx), ys - (y0 + t * dy))
+        stroke = np.clip(1.4 * s - dist, 0.0, 1.0)
+        img = np.maximum(img, stroke)
+    img *= rng.uniform(0.75, 1.0)
+    img += rng.normal(0.0, 0.02, size=img.shape)
+    return np.clip(img, 0.0, 1.0)
+
+
+def per_glyph_minidigits(n, seed, image_size):
+    """Minidigits rendered one glyph at a time, each from its own draws."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n, dtype=np.int64) % 10
+    images = np.stack([_render_glyph(int(d), image_size, rng) for d in labels])
+    return LabeledImages(images, labels, 10)

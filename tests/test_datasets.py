@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from arlab import datasets
 from arlab.datasets import (
     LabeledImages,
     batches,
@@ -12,6 +14,7 @@ from arlab.datasets import (
     save_idx,
 )
 from arlab.errors import FormatError, ShapeError
+from oracles import per_glyph_minidigits
 
 
 def write_idx_pair(tmp_path, images_u8, labels_u8):
@@ -110,6 +113,77 @@ def test_minidigits_classes_are_separable_in_pixel_space():
 def test_minidigits_custom_size():
     data = gen_minidigits(10, seed=2, image_size=28)
     assert data.images.shape == (10, 28, 28)
+
+
+# every (n, seed) that the benchmark workloads draw for seeds 0-2, at size 16
+BENCHMARK_DRAWS = [(n, s + offset, 16) for s in range(3)
+                   for n, offset in ((2000, 0), (2000, 10_000), (1000, 0), (1000, 10_000),
+                                     (1000, 20_000), (500, 20_000), (1, 0))]
+# one row, and row counts around the render pass's 64-row blocks
+BLOCK_EDGES = [(n, n, 16) for n in (1, 63, 64, 65, 129)]
+SIZES = [(129, 7, size) for size in (8, 11, 13, 16, 28)]
+
+
+@pytest.mark.parametrize("n,seed,size", BENCHMARK_DRAWS + BLOCK_EDGES + SIZES + [(12, 5, 16)])
+def test_minidigits_match_the_per_glyph_renderer(n, seed, size):
+    fast = gen_minidigits(n, seed, size)
+    slow = per_glyph_minidigits(n, seed, size)
+    assert fast.images.tobytes() == slow.images.tobytes()
+    assert (fast.labels == slow.labels).all()
+
+
+class _ZeroJitter:
+    """A generator whose segment jitters are all zero; other draws pass through."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def uniform(self, low, high, size=None):
+        draw = self._rng.uniform(low, high, size)
+        return np.zeros_like(draw) if (low, high) == (-0.4, 0.4) else draw
+
+    def normal(self, loc, scale, size):
+        return self._rng.normal(loc, scale, size)
+
+
+def test_point_segment_matches_the_per_glyph_renderer(monkeypatch):
+    # natural jitter never collapses a segment, so make "G" a point and zero
+    # the jitter: both renderers then take the point-distance branch
+    monkeypatch.setitem(datasets._SEGMENTS, "G", (4.0, 8.0, 4.0, 8.0))
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroJitter(default_rng(seed)))
+    fast = gen_minidigits(20, 3, 16)
+    slow = per_glyph_minidigits(20, 3, 16)
+    assert set(fast.labels.tolist()) == set(range(10))  # digits with and without G
+    assert (fast.images == slow.images).all()
+    assert (fast.labels == slow.labels).all()
+
+
+def test_minidigits_memory_peak_stays_near_the_output():
+    n, size = 6000, 28
+    gen_minidigits(1, 0, size)
+    tracemalloc.start()
+    try:
+        gen_minidigits(n, 0, size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the render pass measures 1.10x the 37.6 MB output (the output, the
+    # (n, 7, 4) segment ends and one block's temporaries); rendering glyph
+    # by glyph into a list and stacking it measures 2.05x
+    assert peak < 1.5 * n * size * size * 8
+
+
+@pytest.mark.parametrize("n,size", [(2.5, 16), (True, 16), (0, 16), (-1, 16),
+                                    (3, 0), (3, 2.5), (3, True), (3, np.float64(16))])
+def test_minidigits_reject_counts_that_are_not_positive_integers(n, size):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        gen_minidigits(n, 0, size)
+
+
+def test_minidigits_accept_numpy_integers():
+    data = gen_minidigits(np.int64(3), 0, np.int32(8))
+    assert data.images.tobytes() == gen_minidigits(3, 0, 8).images.tobytes()
 
 
 def test_one_hot_basic():
