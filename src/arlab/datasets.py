@@ -4,14 +4,18 @@ The synthetic set ("minidigits") renders seven-segment digit glyphs with
 jittered strokes so that experiments run end to end without any download.
 
 Its draw order is a contract: a split is a pure function of (n, seed,
-image_size) only while every image, in row order, makes these calls on one
-``default_rng(seed)`` generator:
+image_size) only while every image, in row order, draws these numbers from
+one ``default_rng(seed)`` generator:
 
-1. ``uniform(-0.8, 0.8)`` twice, the x and then the y shift;
-2. ``uniform(-0.4, 0.4, size=4)`` per stroke of the digit, in
-   ``_DIGIT_SEGMENTS`` order, jittering (x0, y0, x1, y1);
+1. ``uniform(-0.8, 0.8, size=2)``, the x and then the y shift;
+2. ``uniform(-0.4, 0.4, size=(strokes, 4))``, one (x0, y0, x1, y1) jitter
+   row per stroke of the digit, in ``_DIGIT_SEGMENTS`` order;
 3. ``uniform(0.75, 1.0)``, the stroke amplitude;
 4. ``normal(0.0, 0.02, size=(image_size, image_size))``, the pixel noise.
+
+An array draw takes its numbers from the stream in row-major order, so
+these are the same numbers as two scalar shift draws and one
+``uniform(-0.4, 0.4, size=4)`` call per stroke.
 
 Nothing drawn depends on a pixel, so ``gen_minidigits`` makes every draw
 first and then renders the strokes in row blocks.  Each pixel is computed
@@ -178,9 +182,9 @@ def gen_minidigits(n: int, seed: int, image_size: int = 16) -> LabeledImages:
     images = np.empty((n, image_size, image_size))
     # draw pass: every image's random numbers, its noise straight into images
     for i, digit in enumerate(labels.tolist()):
-        shifts[i] = rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)
-        for g in _DIGIT_STROKES[digit]:
-            jitter[i, g] = rng.uniform(-0.4, 0.4, size=4)
+        shifts[i] = rng.uniform(-0.8, 0.8, size=2)
+        strokes = _DIGIT_STROKES[digit]
+        jitter[i, strokes] = rng.uniform(-0.4, 0.4, size=(len(strokes), 4))
         amplitude[i] = rng.uniform(0.75, 1.0)
         images[i] = rng.normal(0.0, 0.02, size=(image_size, image_size))
     # segment ends (x0, y0, x1, y1) as canvas position + (jitter + shift),

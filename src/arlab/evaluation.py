@@ -16,9 +16,23 @@ Distance ties at the t-th place go to the lowest pool indices, as a stable
 sort orders them.  No sort is run: ``np.partition`` gives each query's t-th
 smallest distance d_t, every own copy closer than d_t counts, and an own
 copy at exactly d_t counts when its rank among the entries at d_t, taken in
-pool order, is below the slots the closer entries leave.  Queries run in
-chunks whose (rows, m*t, k) difference array fits a fixed byte budget, so
-memory stays bounded for any class size m.
+pool order, is below the slots the closer entries leave.
+
+Ranks hang on exact ties, so every decision reads the exact distance
+``np.abs(q - p).sum()``; scipy's faster L1 kernel (``pairwise_l1``) only
+narrows the candidates.  Both sum the same k exactly rounded nonnegative
+terms, so they differ by at most about 2(k-1) units of roundoff of the
+sum, whatever order each adds in.  Every entry within a relative
+``4 * k * eps`` of a query's approximate t-th distance is recomputed
+exactly, which covers every entry at or below the exact t-th distance;
+the rest are set to +inf, strictly beyond it, so they are neither closer
+nor tied.  A query whose approximate t-th distance is not finite (NaN or
+infinite logits, or an overflowing bound) recomputes its whole row.
+Queries run in chunks whose (rows, m*t) distance array fits a fixed byte
+budget, and the exact stage runs over a chunk's candidates in slices whose
+(entries, k) arrays fit the same budget, so memory stays bounded for any
+class size m, even when every entry is a candidate (constant logits, many
+ties, or a non-finite row).
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ from .datasets import LabeledImages
 from .errors import DegenerateInputError, MergeError
 from .model import Classifier, family_logits
 from .transforms import TransformFamily
+from .wasserstein import pairwise_l1
 
 METHOD_ORDER = ("B", "V", "L", "S", "C", "K", "W", "D")
 
@@ -77,8 +92,9 @@ def check_class_sizes(labels: np.ndarray, num_classes: int) -> None:
             f"class {cls} has {counts[cls]} sample(s); the invariance test needs >= 2")
 
 
-# bytes of one chunk's (rows, m*t, k) difference array; a chunk holds at
-# least one query row, so one class never needs its full (m, m*t, k) array
+# bytes of one chunk's (rows, m*t) distance array, and of one slice of its
+# exact stage's (entries, k) arrays; a chunk holds at least one query row,
+# so one class never needs its full (m, m*t) array
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -86,20 +102,31 @@ def invariance_per_class(cube: np.ndarray, labels: np.ndarray,
                          num_classes: int) -> np.ndarray:
     """Per-class nearest-neighbor overlap scores, classes in label order."""
     check_class_sizes(labels, num_classes)
-    t = cube.shape[0]
+    t, _, k = cube.shape
+    # bounds the gap between two summation orders of k nonnegative terms
+    slack = 1.0 + 4 * k * np.finfo(np.float64).eps
+    entries = max(1, _CHUNK_BYTES // (8 * k))
     scores = np.zeros(num_classes)
     for cls in range(num_classes):
         members = np.flatnonzero(labels == cls)
         m = members.size
         query = cube[0, members]
         pool = cube[:, members].reshape(t * m, -1)
-        rows = max(1, _CHUNK_BYTES // pool.nbytes)
+        rows = max(1, _CHUNK_BYTES // (8 * t * m))
         overlap = np.empty(m, dtype=np.intp)
         for start in range(0, m, rows):
-            chunk = slice(start, start + rows)
-            diff = query[chunk, None, :] - pool[None, :, :]
-            dists = np.abs(diff, out=diff).sum(axis=2)
-            overlap[chunk] = _own_among_nearest(dists, np.arange(m)[chunk], m, t)
+            q = query[start:start + rows]
+            dists = pairwise_l1(q, pool)
+            bound = np.partition(dists, t - 1, axis=1)[:, t - 1:t] * slack
+            near = np.flatnonzero((dists <= bound) | ~np.isfinite(bound))
+            dists.fill(np.inf)
+            for part in range(0, near.size, entries):
+                r, c = np.divmod(near[part:part + entries], t * m)
+                diff = np.take(q, r, axis=0)
+                diff -= np.take(pool, c, axis=0)
+                dists[r, c] = np.abs(diff, out=diff).sum(axis=1)
+            overlap[start:start + rows] = _own_among_nearest(
+                dists, np.arange(start, start + len(q)), m, t)
         scores[cls] = np.mean(overlap) / t
     return scores
 

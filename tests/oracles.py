@@ -23,6 +23,11 @@
   batch under the vertex at every step.
 - :func:`intersect1d_invariance` and :func:`argsort_invariance` score
   invariance from the whole distance array and a stable sort.
+  :func:`chunked_invariance` computes every distance exactly, in chunks
+  whose (rows, m*t, k) difference array fits 256 KiB, and ranks them as
+  the library does (``evaluation._own_among_nearest``).  The library
+  computes exactly only the entries that scipy's L1 kernel puts near each
+  query's t-th distance (``evaluation.invariance_per_class``).
 - :func:`numpy_cross_entropy` is a graph-free mean cross-entropy.
 - :func:`brute_force_w1` is the exact empirical W1 distance, found by
   enumerating every pairing.
@@ -40,6 +45,7 @@ from arlab import tensor as T
 from arlab import training
 from arlab.datasets import _DIGIT_SEGMENTS, _SEGMENTS, LabeledImages, one_hot
 from arlab.errors import DivergenceError, ShapeError
+from arlab.evaluation import _own_among_nearest
 from arlab.model import family_logits, init, logits, logits_array
 from arlab.regularizers import aux_update, init_aux, penalty
 from arlab.tensor import NonFiniteError, _log_softmax
@@ -364,6 +370,26 @@ def argsort_invariance(cube, labels, num_classes):
         dists = np.abs(query[:, None, :] - pool[None, :, :]).sum(axis=2)
         nearest = np.argsort(dists, axis=1, kind="stable")[:, :t]
         overlap = (nearest % m == np.arange(m)[:, None]).sum(axis=1)
+        scores[cls] = np.mean(overlap) / t
+    return scores
+
+
+def chunked_invariance(cube, labels, num_classes):
+    """Oracle: every distance exact, queries in chunks of a 256 KiB difference array."""
+    t = cube.shape[0]
+    scores = np.zeros(num_classes)
+    for cls in range(num_classes):
+        members = np.flatnonzero(labels == cls)
+        m = members.size
+        query = cube[0, members]
+        pool = cube[:, members].reshape(t * m, -1)
+        rows = max(1, 256 * 1024 // pool.nbytes)
+        overlap = np.empty(m, dtype=np.intp)
+        for start in range(0, m, rows):
+            chunk = slice(start, start + rows)
+            diff = query[chunk, None, :] - pool[None, :, :]
+            dists = np.abs(diff, out=diff).sum(axis=2)
+            overlap[chunk] = _own_among_nearest(dists, np.arange(m)[chunk], m, t)
         scores[cls] = np.mean(overlap) / t
     return scores
 

@@ -28,8 +28,14 @@ from arlab.transforms import (
     apply_batch,
     family_by_name,
 )
+from arlab.wasserstein import pairwise_l1
 
-from oracles import argsort_invariance, intersect1d_invariance, parameters
+from oracles import (
+    argsort_invariance,
+    chunked_invariance,
+    intersect1d_invariance,
+    parameters,
+)
 
 
 def onehot_data(labels, k=10):
@@ -185,13 +191,125 @@ def test_chunked_invariance_matches_stable_argsort(trained_cube, logits):
         cube = cube.copy()
         cube[:, ::7] = np.nan
         cube[2:, 1::7] = np.nan
-    t, _, k = cube.shape
+    t = cube.shape[0]
     counts = np.bincount(labels, minlength=10)
-    rows = np.maximum(1, _CHUNK_BYTES // (counts * t * k * 8))
+    rows = np.maximum(1, _CHUNK_BYTES // (counts * t * 8))
     # every class spans several chunks, and some class ends on a short one
     assert np.all(counts > 2 * rows) and np.any(counts % rows)
     expect = argsort_invariance(cube, labels, 10)
     assert np.array_equal(invariance_per_class(cube, labels, 10), expect)
+
+
+FLOAT_MAX = np.finfo(np.float64).max
+
+
+def differential_cube(kind, t, k, classes, seed):
+    rng = np.random.default_rng(seed)
+    n = classes * int(rng.integers(2, 40))
+    cube = rng.normal(size=(t, n, k))
+    if kind == "near-tie":
+        # integer distances moved by about an ulp: numpy and scipy order
+        # some of them differently
+        cube = rng.integers(0, 3, size=cube.shape) + 1e-16 * cube
+    elif kind == "integer":
+        cube = rng.integers(0, 3, size=cube.shape).astype(np.float64)
+    elif kind == "constant":
+        cube = np.zeros_like(cube)
+    elif kind == "nan":
+        cube[rng.random(cube.shape) < 0.1] = np.nan
+    elif kind == "inf":
+        cube[rng.random(cube.shape) < 0.1] = np.inf
+        cube[rng.random(cube.shape) < 0.1] = -np.inf
+    elif kind == "huge":
+        # sums of these terms reach and pass the largest float, so a t-th
+        # distance can be finite while its widened bound overflows
+        cube = rng.integers(-1, 2, size=cube.shape) * (FLOAT_MAX / 8)
+    return cube, np.arange(n) % classes
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["normal", "near-tie", "integer", "constant",
+                                  "nan", "inf", "huge"])
+@pytest.mark.parametrize("k", [2, 3, 10, 12])
+def test_invariance_matches_exact_chunked_oracle(kind, k):
+    for t in range(2, 7):
+        for seed in range(3):
+            classes = 1 + seed
+            cube, labels = differential_cube(kind, t, k, classes, seed + 10 * t)
+            expect = chunked_invariance(cube, labels, classes)
+            assert np.array_equal(invariance_per_class(cube, labels, classes), expect)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["normal", "near-tie", "integer", "constant",
+                                  "nan", "inf", "huge"])
+def test_invariance_matches_the_oracle_in_small_exact_slices(kind, monkeypatch):
+    # a budget of seven (entries, k) rows: one query per chunk, and its
+    # candidates cross several slice boundaries
+    for k in (3, 10):
+        monkeypatch.setattr("arlab.evaluation._CHUNK_BYTES", 8 * k * 7)
+        for t in (2, 4, 6):
+            cube, labels = differential_cube(kind, t, k, 2, t)
+            expect = chunked_invariance(cube, labels, 2)
+            assert np.array_equal(invariance_per_class(cube, labels, 2), expect)
+
+
+def near_tie_cube():
+    """One class of two samples under two members, where numpy's sum and
+    scipy's L1 kernel rank sample 0's second-nearest pool entry differently.
+
+    Sample 0 is the origin.  Sample 1 holds one large term among nine of
+    2**-53, placed where the two sums round its distance differently.
+    Sample 0's copy sits halfway between the two sums, so under one sum it
+    is nearer than sample 1 and under the other it is farther.
+    """
+    k = 10
+    origin = np.zeros((1, k))
+    for pos in range(k):
+        foreign = np.full((1, k), 2.0 ** -53)
+        foreign[0, pos] = 1.0
+        exact = np.abs(origin - foreign).sum(axis=1)[0]
+        approx = pairwise_l1(origin, foreign)[0, 0]
+        if exact != approx:
+            break
+    own = np.zeros((1, k))
+    own[0, 0] = (exact + approx) / 2
+    far = np.full((1, k), 5.0)
+    cube = np.stack([np.concatenate([origin, foreign]), np.concatenate([own, far])])
+    return cube, np.zeros(2, dtype=np.int64)
+
+
+def test_invariance_exact_stage_decides_near_ties():
+    cube, labels = near_tie_cube()
+    t, m = 2, 2
+    pool = cube.reshape(t * m, -1)
+    exact = np.abs(cube[0, :, None, :] - pool[None, :, :]).sum(axis=2)
+    approx = pairwise_l1(cube[0], pool)
+    nearest = np.argsort(exact, axis=1, kind="stable")[:, :t]
+    # precondition: scipy's distances alone pick a different t-nearest set
+    assert not np.array_equal(np.argsort(approx, axis=1, kind="stable")[:, :t], nearest)
+    expect = chunked_invariance(cube, labels, 1)
+    assert np.array_equal(invariance_per_class(cube, labels, 1), expect)
+    assert np.array_equal(expect, argsort_invariance(cube, labels, 1))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_invariance_recomputes_rows_with_a_non_finite_bound():
+    # sample 0's own copy overflows to +inf and sample 1's plain logits hold
+    # a NaN, so fewer than t distances are finite and the whole row is
+    # recomputed: as a +inf placeholder the NaN would tie ahead of the copy
+    cube = np.array([[[0.0, 0.0], [np.nan, 0.0]],
+                     [[FLOAT_MAX, FLOAT_MAX], [FLOAT_MAX, FLOAT_MAX]]])
+    labels = np.zeros(2, dtype=np.int64)
+    expect = chunked_invariance(cube, labels, 1)
+    assert np.array_equal(invariance_per_class(cube, labels, 1), expect)
+    # a finite t-th distance of the largest float overflows its bound
+    cube = np.array([[[0.0], [FLOAT_MAX]], [[FLOAT_MAX], [FLOAT_MAX]]])
+    assert np.isinf(FLOAT_MAX * (1 + 4 * np.finfo(np.float64).eps))
+    expect = chunked_invariance(cube, labels, 1)
+    assert np.array_equal(invariance_per_class(cube, labels, 1), expect)
 
 
 def test_invariance_of_a_large_class_stays_in_bounded_memory():
@@ -205,8 +323,29 @@ def test_invariance_of_a_large_class_stays_in_bounded_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the pool copy plus one query row's difference array are 1.9 MB
+    # the pool copy and one chunk's (2, 12000) distance arrays take ~2.1 MB
     assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("logits", ["constant", "nan"])
+def test_invariance_with_every_entry_a_candidate_stays_in_bounded_memory(logits):
+    # constant logits tie every entry at the t-th distance, and a NaN
+    # logit makes every row fall back, so the exact stage recomputes all
+    # 2000 * 12000 entries of the class; it does so in slices that fit the
+    # chunk budget (peak ~2.2 MiB with the 0.9 MiB pool copy; gathering a
+    # whole chunk's candidates at once peaked at 5.3 MiB)
+    cube = np.zeros((6, 2000, 10))
+    if logits == "nan":
+        cube[:, :, 0] = np.nan
+    labels = np.zeros(2000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        invariance_per_class(cube, labels, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_invariance_rejects_degenerate_class():
