@@ -43,6 +43,7 @@ from .evaluation import (
     check_class_sizes,
     evaluate,
     format_table,
+    markdown_table,
     rows_from_csv,
     rows_to_csv,
     summary_csv,
@@ -347,9 +348,8 @@ def select_lambdas(rows: Sequence[MetricsRow]) -> dict:
     return out
 
 
-def table_rows(rows: Sequence[MetricsRow]) -> list:
-    """Rows restricted, per AR method, to its selected lambda."""
-    chosen = select_lambdas(rows)
+def table_rows(rows: Sequence[MetricsRow], chosen: dict) -> list:
+    """Rows restricted, per AR method, to its lambda in ``chosen``."""
     return [r for r in rows
             if r.lam is None or chosen.get(r.method) == r.lam]
 
@@ -418,8 +418,8 @@ def cmd_train(config_path: str, parallel: int = 1,
         raise AllCellsFailed(f"all {len(cells)} cells failed")
 
     (out / "metrics.csv").write_text(rows_to_csv(rows))
-    shown = table_rows(rows)
-    summary = format_table(shown, select_lambdas(rows))
+    chosen = select_lambdas(rows)
+    summary = format_table(table_rows(rows, chosen), chosen)
     (out / "summary.txt").write_text(summary)
     (out / "run.json").write_text(json.dumps(
         {"cells": records, "duration_s": time.monotonic() - started},
@@ -537,9 +537,9 @@ def cmd_report(run_dirs: Sequence[str], out_dir: Optional[str] = None):
         raise MergeError("no metrics rows found in the given directories")
 
     chosen = select_lambdas(merged)
-    shown = table_rows(merged)
+    shown = table_rows(merged, chosen)
     text = format_table(shown, chosen)
-    markdown = _markdown_table(text)
+    markdown = markdown_table(shown, chosen)
     csv_text = summary_csv(shown)
     print(text, end="")
     print()
@@ -552,19 +552,6 @@ def cmd_report(run_dirs: Sequence[str], out_dir: Optional[str] = None):
         (target / "report.md").write_text(markdown)
         (target / "report.csv").write_text(csv_text)
     return markdown, csv_text
-
-
-def _markdown_table(aligned: str) -> str:
-    """Pipe-table rendering of the aligned text table."""
-    lines = aligned.rstrip("\n").split("\n")
-    cells = [line.split("  ") for line in lines]
-    cells = [[c.strip() for c in row if c.strip()] for row in cells]
-    header, body = cells[0], cells[2:]
-    out = ["| " + " | ".join(header) + " |",
-           "|" + "|".join([" --- "] * len(header)) + "|"]
-    for row in body:
-        out.append("| " + " | ".join(row) + " |")
-    return "\n".join(out) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -250,13 +250,9 @@ METRIC_LABELS = (("accuracy", "Accuracy"), ("robustness", "Robustness"),
                  ("invariance", "Invariance"))
 
 
-def format_table(rows: Sequence[MetricsRow],
-                 lambda_by_method: Optional[dict] = None) -> str:
-    """Aligned text table: three metric rows per shift, methods as columns.
-
-    Values are percentages, mean +- std over seeds.  AR methods can carry
-    their selected lambda in the column header.
-    """
+def _table_cells(rows: Sequence[MetricsRow],
+                 lambda_by_method: Optional[dict]) -> list[list[str]]:
+    """The comparison table's cells: a header line, then three metric lines per shift."""
     if not rows:
         raise MergeError("no rows to tabulate")
     summary = summarize(rows)
@@ -268,8 +264,7 @@ def format_table(rows: Sequence[MetricsRow],
             return f"{m} (lam={lambda_by_method[m]:g})"
         return m
 
-    headers = ["shift", "metric"] + [header_label(m) for m in methods]
-    body = []
+    lines = [["shift", "metric"] + [header_label(m) for m in methods]]
     for shift in shifts:
         for metric, label in METRIC_LABELS:
             line = [shift, label]
@@ -280,12 +275,29 @@ def format_table(rows: Sequence[MetricsRow],
                 else:
                     mean, std = cell[metric]
                     line.append(f"{100 * mean:.1f}+-{100 * std:.1f}")
-            body.append(line)
-    widths = [max(len(h), *(len(r[i]) for r in body)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+            lines.append(line)
+    return lines
+
+
+def format_table(rows: Sequence[MetricsRow],
+                 lambda_by_method: Optional[dict] = None) -> str:
+    """Aligned text table: three metric rows per shift, methods as columns.
+
+    Values are percentages, mean +- std over seeds.  AR methods can carry
+    their selected lambda in the column header.
+    """
+    cells = _table_cells(rows, lambda_by_method)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
+
+
+def markdown_table(rows: Sequence[MetricsRow], lambda_by_method: dict) -> str:
+    """Pipe-table rendering of the cells that format_table aligns."""
+    cells = _table_cells(rows, lambda_by_method)
+    lines = ["| " + " | ".join(line) + " |" for line in cells]
+    lines.insert(1, "|" + "|".join([" --- "] * len(cells[0])) + "|")
     return "\n".join(lines) + "\n"
 
 
@@ -299,9 +311,6 @@ def summary_csv(rows: Sequence[MetricsRow]) -> str:
         for metric, _ in METRIC_LABELS:
             for method in _method_columns(
                     [r for r in rows if r.shift == shift]):
-                cell = summary.get((shift, method))
-                if cell is None:
-                    continue
-                mean, std = cell[metric]
+                mean, std = summary[shift, method][metric]
                 writer.writerow([shift, metric, method, repr(mean), repr(std)])
     return buf.getvalue()

@@ -122,7 +122,9 @@ def penalty(kind: str, u: np.ndarray, v: np.ndarray, aux: Optional[AuxParams],
         return _kl_penalty(u, v, b, g)
     if kind == "w1-exact":
         # the optimal pairing is held fixed; gradients flow through the
-        # matched rows only
+        # matched rows only.  Many pairings are optimal under an L1 cost; the
+        # step follows scipy's linear_sum_assignment, so W cells' weights
+        # depend on its tie rule
         sigma, _ = w1_matching(u, v)
         return _l1_penalty(u, v, b, sigma, g)
     if aux is None:

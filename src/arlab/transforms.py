@@ -113,10 +113,11 @@ def _dft_matrix(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _lowpass_mask(h: int, w: int, radius: float) -> np.ndarray:
-    # distance measured on the centered spectrum, where fftshift puts DC
+    # distance measured on the centered spectrum, where fftshift puts DC;
+    # ifftshift moves the disc to where the DFT leaves DC, at (0, 0)
     cy, cx = h // 2, w // 2
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    return (np.hypot(ys - cy, xs - cx) <= radius).astype(np.float64)
+    return np.fft.ifftshift((np.hypot(ys - cy, xs - cx) <= radius).astype(np.float64))
 
 
 @lru_cache(maxsize=64)
@@ -185,10 +186,8 @@ def _transform_block(t: Rotate | FreqCutoff, x: np.ndarray, out: np.ndarray) -> 
         np.clip(out, 0.0, 1.0, out=out)
         return
     spectrum = _dft_matrix(h) @ x @ _dft_matrix(w)
-    centered = np.fft.fftshift(spectrum, axes=(1, 2))
-    centered *= _lowpass_mask(h, w, float(t.radius))
-    masked = np.fft.ifftshift(centered, axes=(1, 2))
-    back = _dft_matrix(h).conj() @ masked @ _dft_matrix(w).conj() / (h * w)
+    spectrum *= _lowpass_mask(h, w, float(t.radius))
+    back = _dft_matrix(h).conj() @ spectrum @ _dft_matrix(w).conj() / (h * w)
     np.clip(back.real, 0.0, 1.0, out=out)
 
 

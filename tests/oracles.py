@@ -31,6 +31,11 @@
 - :func:`numpy_cross_entropy` is a graph-free mean cross-entropy.
 - :func:`brute_force_w1` is the exact empirical W1 distance, found by
   enumerating every pairing.
+- :func:`centred_lowpass` is the texture filter with its disc drawn on the
+  centred spectrum: the whole stack's spectrum is ``fftshift``-ed, masked
+  and ``ifftshift``-ed back.  The library draws the disc where the DFT
+  leaves DC and masks each row block's spectrum in place
+  (``transforms._transform_block``).
 - :func:`per_glyph_minidigits` renders minidigits one glyph at a time,
   drawing each glyph's random numbers just before it renders them.  The
   library draws them all first and renders in row blocks
@@ -49,7 +54,7 @@ from arlab.evaluation import _own_among_nearest
 from arlab.model import family_logits, init, logits, logits_array
 from arlab.regularizers import aux_update, init_aux, penalty
 from arlab.tensor import NonFiniteError, _log_softmax
-from arlab.transforms import apply_batch
+from arlab.transforms import _dft_matrix, apply_batch
 
 
 class Tensor(T.Tensor):
@@ -409,6 +414,21 @@ def brute_force_w1(u, v):
         total = sum(np.abs(u[i] - v[perm[i]]).sum() for i in range(b))
         best = min(best, total)
     return best
+
+
+def centred_lowpass(images, radius):
+    """Low-pass filter of a (n, h, w) stack, masked on the centred spectrum."""
+    x = np.asarray(images, dtype=np.float64)
+    _, h, w = x.shape
+    cy, cx = h // 2, w // 2
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    mask = (np.hypot(ys - cy, xs - cx) <= radius).astype(np.float64)
+    spectrum = _dft_matrix(h) @ x @ _dft_matrix(w)
+    centred = np.fft.fftshift(spectrum, axes=(1, 2))
+    centred *= mask
+    masked = np.fft.ifftshift(centred, axes=(1, 2))
+    back = _dft_matrix(h).conj() @ masked @ _dft_matrix(w).conj() / (h * w)
+    return np.clip(back.real, 0.0, 1.0)
 
 
 def _render_glyph(digit, size, rng):

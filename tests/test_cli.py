@@ -14,7 +14,7 @@ from arlab import cli
 from arlab.cli import main, parse_config, resolve_output_dir, select_lambdas
 from arlab.datasets import LabeledImages, gen_minidigits, save_idx
 from arlab.errors import ConfigError
-from arlab.evaluation import MetricsRow, rows_from_csv
+from arlab.evaluation import MetricsRow, rows_from_csv, rows_to_csv
 from arlab.model import init, save_weights
 from arlab.training import train
 from arlab.transforms import family_by_name
@@ -263,6 +263,12 @@ class TestTrain:
         summary = (out / "summary.txt").read_text()
         assert "S (lam=" in summary
         assert summary.count("Accuracy") == 1
+
+    def test_lambda_rule_runs_once_per_sweep(self, tmp_path, calls_to):
+        config_path, _ = write_config(tmp_path, methods=["B", "S"])
+        calls = calls_to("cli.select_lambdas")
+        assert main(["train", "--config", str(config_path)]) == 0
+        assert len(calls) == 1
 
     def test_degenerate_cell_is_recorded_and_sweep_goes_on(self, tmp_path):
         # a blank image has zero logits at init, where cosine alignment is
@@ -607,6 +613,28 @@ class TestReport:
         # one accuracy line per (shift, method) pair: contrast B, rotation B+S
         assert report_csv.count("accuracy") == 3
         assert (tmp_path / "rep" / "report.md").read_text().startswith("| shift |")
+
+    def test_lambda_rule_runs_once_per_report(self, trained_run, calls_to):
+        calls = calls_to("cli.select_lambdas")
+        assert main(["report", str(trained_run)]) == 0
+        assert len(calls) == 1
+
+    def test_pipe_table_keeps_each_method_in_its_column(self, tmp_path):
+        # an empty name, or one holding two spaces, is a valid metrics.csv
+        # method; the pipe table must not re-split it out of aligned text
+        run = tmp_path / "run"
+        run.mkdir()
+        rows = [MetricsRow(method, "rotation", 0, None, 0.9, 0.8, 0.7)
+                for method in ("B", "", "my  method")]
+        (run / "metrics.csv").write_text(rows_to_csv(rows))
+        (run / "config.json").write_text(json.dumps(
+            {"family": "rotation", "eval_dataset": {"kind": "minidigits"}}))
+        assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 0
+        lines = (tmp_path / "rep" / "report.md").read_text().splitlines()
+        header = [cell.strip() for cell in lines[0].split("|")[1:-1]]
+        assert header == ["shift", "metric", "B", "", "my  method"]
+        assert len({line.count("|") for line in lines}) == 1
+        assert lines[2] == "| rotation | Accuracy | 90.0+-0.0 | 90.0+-0.0 | 90.0+-0.0 |"
 
     def test_same_family_different_eval_data_is_rejected(
             self, trained_run, tmp_path, capsys):

@@ -12,12 +12,16 @@ from arlab.transforms import (
     TransformFamily,
     _BLOCK_ROWS,
     _dft_matrix,
+    _lowpass_mask,
+    _scaled_radii,
     apply_batch,
     family_by_name,
     family_contrast,
     family_rotation,
     family_texture,
 )
+
+from oracles import centred_lowpass
 
 
 @pytest.fixture
@@ -145,6 +149,30 @@ def test_apply_batch_peaks_at_output_plus_one_block(t):
     # a whole-batch filter would hold several (2000, 16, 16) temporaries,
     # complex ones among them; a negated contrast map needs none
     assert peak <= out.nbytes + 12 * block_bytes
+
+
+# square and non-square sizes; on odd sides fftshift and ifftshift differ
+LOWPASS_SHAPES = [(11, 11), (13, 13), (16, 16), (28, 28), (12, 10), (11, 16), (9, 7)]
+LOWPASS_RADII = [1.0, 2.5, 3.0, 5.0, 12.0]
+
+
+@pytest.mark.parametrize("h,w", LOWPASS_SHAPES)
+def test_lowpass_matches_the_centred_mask_oracle(h, w):
+    radii = LOWPASS_RADII + (_scaled_radii(h) if h == w else [])
+    images = np.random.default_rng(h * 100 + w).random((_BLOCK_ROWS + 1, h, w))
+    for radius in radii:
+        assert np.array_equal(apply_batch(FreqCutoff(radius), images),
+                              centred_lowpass(images, radius)), radius
+        assert _lowpass_mask(h, w, radius)[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 130, 300])
+def test_lowpass_matches_the_centred_mask_oracle_across_blocks(n):
+    # whole blocks, ragged ones and a single row against one unblocked stack
+    images = np.random.default_rng(n).random((n, 16, 16))
+    for radius in LOWPASS_RADII + _scaled_radii(16):
+        assert np.array_equal(apply_batch(FreqCutoff(radius), images),
+                              centred_lowpass(images, radius)), radius
 
 
 def dft2(image):
