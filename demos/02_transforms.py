@@ -30,8 +30,8 @@ size = digit.shape[0]
 
 for family in (family_texture(size), family_rotation(), family_contrast()):
     print(f"== family {family.family_name!r}: {len(family)} members, "
-          f"vertices ({family.vertex_plus}, {family.vertex_minus})")
-    shown = [family.members[0], family.members[family.vertex_minus]]
+          f"vertex {family.vertex}")
+    shown = [family.members[0], family.members[family.vertex]]
     for member in shown:
         out = apply_batch(member, digit[None])[0]
         assert out.min() >= 0.0 and out.max() <= 1.0

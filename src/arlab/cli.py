@@ -39,6 +39,7 @@ from .errors import (
     ShapeError,
 )
 from .evaluation import (
+    METHOD_SPECS,
     MetricsRow,
     check_class_sizes,
     evaluate,
@@ -53,20 +54,6 @@ from .theory import run_all_checks
 from .training import DEFAULT_SEEDS, LrSchedule, TrainPlan, default_lambda_grid, train
 from .transforms import FAMILY_NAMES, TransformFamily, family_by_name
 
-# method code -> (training mode, alignment kind); None kind means no penalty
-METHOD_SPECS = {
-    "B": ("baseline", None),
-    "V": ("vanilla-aug", None),
-    "VWA": ("vanilla-worst", None),
-    "L": ("aligned-vertex", "l1"),
-    "S": ("aligned-vertex", "sql2"),
-    "C": ("aligned-vertex", "cos"),
-    "K": ("aligned-vertex", "kl"),
-    "W": ("aligned-vertex", "w1-exact"),
-    "D": ("aligned-vertex", "disc"),
-    "RVA": ("aligned-vertex", "sql2"),
-    "RWA": ("aligned-worst", "sql2"),
-}
 PLAIN_METHODS = tuple(m for m, (_, kind) in METHOD_SPECS.items() if kind is None)
 
 # fresh-draw offset for the held-out split when the config does not name one
@@ -572,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True,
                         help="minidigits:<n>:<seed>[:<size>] or <images>,<labels>")
     p_eval.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--json", default=None, metavar="PATH",
                         help="also write the JSON report here")
 
@@ -597,8 +583,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "train":
             cmd_train(args.config, parallel=args.parallel, seed_override=args.seed)
         elif args.command == "eval":
-            cmd_eval(args.weights, args.data, args.family,
-                     seed=args.seed, json_path=args.json)
+            cmd_eval(args.weights, args.data, args.family, json_path=args.json)
         elif args.command == "theory":
             cmd_theory(args.weights, args.data, args.family, json_path=args.json)
         elif args.command == "report":

@@ -50,9 +50,6 @@ from .model import Classifier, family_logits
 from .transforms import TransformFamily
 from .wasserstein import pairwise_l1
 
-METHOD_ORDER = ("B", "V", "L", "S", "C", "K", "W", "D")
-
-
 @dataclass
 class EvalReport:
     """The three headline metrics plus the per-class invariance detail."""
@@ -174,6 +171,23 @@ def evaluate(model: Classifier, data: LabeledImages, family: TransformFamily,
     )
 
 
+# method code -> (training mode, alignment kind); None kind means no penalty.
+# The key order is the comparison table's column order.
+METHOD_SPECS = {
+    "B": ("baseline", None),
+    "V": ("vanilla-aug", None),
+    "L": ("aligned-vertex", "l1"),
+    "S": ("aligned-vertex", "sql2"),
+    "C": ("aligned-vertex", "cos"),
+    "K": ("aligned-vertex", "kl"),
+    "W": ("aligned-vertex", "w1-exact"),
+    "D": ("aligned-vertex", "disc"),
+    "RVA": ("aligned-vertex", "sql2"),
+    "RWA": ("aligned-worst", "sql2"),
+    "VWA": ("vanilla-worst", None),
+}
+
+
 @dataclass
 class MetricsRow:
     """One evaluated run; the unit record of metrics.csv."""
@@ -206,27 +220,31 @@ def rows_to_csv(rows: Sequence[MetricsRow]) -> str:
 
 
 def rows_from_csv(text: str) -> list[MetricsRow]:
-    """Inverse of rows_to_csv; a table it could not have written raises MergeError."""
+    """Inverse of rows_to_csv; a table it could not have written raises MergeError.
+
+    So does a method or shift holding a line break, which would split a table line.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])
     if header != CSV_HEADER:
         raise MergeError(f"unexpected metrics header {header}")
     out = []
-    for rec in reader:
-        try:
-            method, shift, seed, lam, acc, rob, inv = rec
+    try:
+        for method, shift, seed, lam, acc, rob, inv in reader:
+            if any(c in method + shift for c in "\r\n"):
+                raise ValueError(f"line break in method {method!r} or shift {shift!r}")
             out.append(MetricsRow(method, shift, int(seed),
                                   None if lam == "" else float(lam),
                                   float(acc), float(rob), float(inv)))
-        except ValueError as exc:
-            raise MergeError(f"metrics line {reader.line_num}: {exc}") from None
+    except (ValueError, csv.Error) as exc:
+        raise MergeError(f"metrics line {reader.line_num}: {exc}") from None
     return out
 
 
 def _method_columns(rows: Sequence[MetricsRow]) -> list[str]:
     present = {r.method for r in rows}
-    cols = [m for m in METHOD_ORDER if m in present]
-    cols += sorted(present - set(METHOD_ORDER))
+    cols = [m for m in METHOD_SPECS if m in present]
+    cols += sorted(present - set(METHOD_SPECS))
     return cols
 
 
@@ -294,9 +312,9 @@ def format_table(rows: Sequence[MetricsRow],
 
 
 def markdown_table(rows: Sequence[MetricsRow], lambda_by_method: dict) -> str:
-    """Pipe-table rendering of the cells that format_table aligns."""
+    """Pipe-table rendering of the cells that format_table aligns, ``|`` escaped."""
     cells = _table_cells(rows, lambda_by_method)
-    lines = ["| " + " | ".join(line) + " |" for line in cells]
+    lines = ["| " + " | ".join(c.replace("|", r"\|") for c in line) + " |" for line in cells]
     lines.insert(1, "|" + "|".join([" --- "] * len(cells[0])) + "|")
     return "\n".join(lines) + "\n"
 

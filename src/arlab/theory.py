@@ -2,8 +2,8 @@
 
 Each checker measures, on a concrete model and dataset, how often an
 assumption of the robust-error analysis holds: efficiency of the
-transformed representations (A2), extremity of the designated vertices
-(A3), and the cross-entropy/classification-error link (A6).  A further
+transformed representations (A2), extremity of the identity and vertex
+pair (A3), and the cross-entropy/classification-error link (A6).  A further
 check verifies the matching identity that collapses the empirical
 Wasserstein distance to a per-pair L1 sum whenever efficiency holds, and
 ``bound_terms`` evaluates every computable term of the two robust-error
@@ -137,13 +137,13 @@ def check_prop_a2(cube: np.ndarray, w1: np.ndarray, masks: list,
 
 
 def check_vertices(w1: np.ndarray, family: TransformFamily) -> AssumptionReport:
-    """Does the designated vertex pair attain the largest pairwise W1 gap?"""
+    """Does the trained pair, the identity and the vertex, attain the largest W1 gap?"""
     if len(family) < 2:
         raise ValueError("vertex check needs at least two family members")
     best = float(w1.max())
     arg = np.unravel_index(int(w1.argmax()), w1.shape)
     argmax_pair = sorted(int(x) for x in arg)
-    designated = sorted((family.vertex_plus, family.vertex_minus))
+    designated = [0, family.vertex]
     designated_value = float(w1[designated[0], designated[1]])
     attained = designated_value >= best - TOL
     detail = {
@@ -224,28 +224,26 @@ def bound_terms(train_cube: np.ndarray, train_labels: np.ndarray,
     The empirical terms read the training cube and the robust error reads
     the evaluation cube.  Worst-case mode pairs each training sample with
     its adversarially chosen copy (``training.select_worst``); vertex mode
-    pairs the two designated extremes.  Alignment is reported both as the
-    raw sum and as a per-sample mean, since the analysis leaves the
-    normalization open.
+    pairs it with its copy under the family's vertex, as the training step
+    does.  Alignment is reported both as the raw sum and as a per-sample
+    mean, since the analysis leaves the normalization open.
     """
     if mode not in ("worst-case", "vertex"):
         raise ValueError(f"mode must be 'worst-case' or 'vertex', got {mode!r}")
-    plus = train_cube[family.vertex_plus]
-    minus = train_cube[family.vertex_minus]
-    risk_plus = 1.0 - accuracy(plus, train_labels)
-    risk_minus = 1.0 - accuracy(minus, train_labels)
+    u = train_cube[0]
+    empirical_risk = 1.0 - accuracy(u, train_labels)
+    vertex_risk = 1.0 - accuracy(train_cube[family.vertex], train_labels)
     if mode == "worst-case":
         picks = select_worst(train_cube, train_labels)
-        u = train_cube[0]
         v = train_cube[picks, np.arange(len(train_labels))]
     else:
-        u, v = plus, minus
+        v = train_cube[family.vertex]
     per_sample = np.abs(u - v).sum(axis=1)
     return BoundReport(
         mode=mode,
         robust_error=1.0 - robust_accuracy(eval_cube, eval_labels),
-        empirical_risk=1.0 - accuracy(train_cube[0], train_labels),
-        vertex_risk_average=0.5 * (risk_plus + risk_minus),
+        empirical_risk=empirical_risk,
+        vertex_risk_average=0.5 * (empirical_risk + vertex_risk),
         alignment_sum=float(per_sample.sum()),
         alignment_mean=float(per_sample.mean()),
     )

@@ -2,8 +2,8 @@
 
 Three families are built in: low-pass texture filtering in the frequency
 domain, clockwise rotation, and pixel-intensity contrast maps.  Each family
-is an ordered list whose first member is the identity, plus two designated
-"vertex" members used as the extremes during training.
+is an ordered list whose first member, the identity, and designated "vertex"
+member are the two extremes that training pairs.
 """
 
 from __future__ import annotations
@@ -74,26 +74,22 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class TransformFamily:
-    """Ordered transforms with two designated extreme members."""
+    """Ordered transforms; member 0, the identity, and ``vertex`` are the extremes."""
 
     family_name: str
     members: tuple
-    vertex_plus: int
-    vertex_minus: int
+    vertex: int
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("family needs at least one member")
         if not isinstance(self.members[0], Identity):
             raise ValueError("first family member must be the identity")
+        # the vertex differs from the identity, except in the degenerate
+        # identity-only family used in evaluation fixtures
         n = len(self.members)
-        ok = 0 <= self.vertex_plus < n and 0 <= self.vertex_minus < n
-        # distinct vertices, except for the degenerate identity-only family
-        # used in evaluation fixtures
-        if ok and n > 1:
-            ok = self.vertex_plus != self.vertex_minus
-        if not ok:
-            raise ValueError(f"bad vertex indices ({self.vertex_plus}, {self.vertex_minus})")
+        if not (0 < self.vertex < n or (n == 1 and self.vertex == 0)):
+            raise ValueError(f"bad vertex index {self.vertex} for {n} members")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -102,7 +98,7 @@ class TransformFamily:
         return iter(self.members)
 
     def training_vertex(self) -> Transform:
-        return self.members[self.vertex_minus]
+        return self.members[self.vertex]
 
 
 @lru_cache(maxsize=16)
@@ -204,13 +200,13 @@ def family_texture(image_size: int = 28) -> TransformFamily:
             f"family: texture on {image_size}-pixel images rounds the filter radii to "
             f"{', '.join(map(_fmt, radii))}, not four distinct radii of at least 1")
     members = (Identity(),) + tuple(FreqCutoff(r) for r in radii)
-    return TransformFamily("texture", members, 0, 4)
+    return TransformFamily("texture", members, 4)
 
 
 def family_rotation() -> TransformFamily:
     """Identity plus clockwise rotations up to 60 degrees."""
     members = (Identity(),) + tuple(Rotate(float(d)) for d in (15, 30, 45, 60))
-    return TransformFamily("rotation", members, 0, 4)
+    return TransformFamily("rotation", members, 4)
 
 
 def family_contrast() -> TransformFamily:
@@ -223,7 +219,7 @@ def family_contrast() -> TransformFamily:
         PixelMap(0.5, True),
         PixelMap(0.25, True),
     )
-    return TransformFamily("contrast", members, 0, 3)
+    return TransformFamily("contrast", members, 3)
 
 
 FAMILY_NAMES = ("texture", "rotation", "contrast")

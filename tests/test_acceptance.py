@@ -165,7 +165,7 @@ def test_criterion_3_matching_identity_and_strict_violation():
     # Well separated: each transformed row stays closest to its own source.
     efficient = row_data(np.eye(4), [0, 1, 2, 3], 4)
     shrink = TransformFamily("shrinkpair",
-                             (Identity(), PixelMap(0.9, False)), 0, 1)
+                             (Identity(), PixelMap(0.9, False)), 1)
     report = check_efficiency(efficiency_masks(
         np.stack([logits_array(model, apply_batch(a, efficient.images)) for a in shrink])),
         shrink)
@@ -190,7 +190,7 @@ def test_criterion_3_matching_identity_and_strict_violation():
     # Negation swaps the two rows: as sets the logits coincide (W1 = 0)
     # while the per-pair sum stays far from zero.
     swapped = row_data([[0.8, 0.2], [0.2, 0.8]], [0, 1], 2)
-    negate = TransformFamily("negpair", (Identity(), PixelMap(1.0, True)), 0, 1)
+    negate = TransformFamily("negpair", (Identity(), PixelMap(1.0, True)), 1)
     assert check_efficiency(efficiency_masks(np.stack([logits_array(
         model2 := passthrough_model(2), apply_batch(a, swapped.images))
         for a in negate])), negate).fraction < 1.0

@@ -433,6 +433,14 @@ class TestEval:
         last = capsys.readouterr().out.strip().split("\n")[-1]
         assert json.loads(last) == doc
 
+    def test_seed_is_not_an_eval_flag(self, trained_run, capsys):
+        # nothing eval prints or writes reads a seed, so argparse refuses one
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--weights", str(trained_run / "B_none_0" / "weights.bin"),
+                  "--data", "minidigits:40:0", "--family", "rotation", "--seed", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     def test_corrupt_magic_exits_3(self, trained_run, tmp_path, capsys):
         blob = bytearray((trained_run / "B_none_0" / "weights.bin").read_bytes())
         blob[:8] = b"NOTMAGIC"
@@ -594,6 +602,17 @@ class TestTheory:
                 assert row[j] == matrix[j][i]
 
 
+def write_report_run(tmp_path, methods):
+    """A run directory whose metrics.csv holds one rotation row per method."""
+    run = tmp_path / "run"
+    run.mkdir()
+    rows = [MetricsRow(method, "rotation", 0, None, 0.9, 0.8, 0.7) for method in methods]
+    (run / "metrics.csv").write_text(rows_to_csv(rows))
+    (run / "config.json").write_text(json.dumps(
+        {"family": "rotation", "eval_dataset": {"kind": "minidigits"}}))
+    return run
+
+
 class TestReport:
     def test_single_run_table(self, trained_run, capsys):
         assert main(["report", str(trained_run)]) == 0
@@ -622,19 +641,28 @@ class TestReport:
     def test_pipe_table_keeps_each_method_in_its_column(self, tmp_path):
         # an empty name, or one holding two spaces, is a valid metrics.csv
         # method; the pipe table must not re-split it out of aligned text
-        run = tmp_path / "run"
-        run.mkdir()
-        rows = [MetricsRow(method, "rotation", 0, None, 0.9, 0.8, 0.7)
-                for method in ("B", "", "my  method")]
-        (run / "metrics.csv").write_text(rows_to_csv(rows))
-        (run / "config.json").write_text(json.dumps(
-            {"family": "rotation", "eval_dataset": {"kind": "minidigits"}}))
+        run = write_report_run(tmp_path, ("B", "", "my  method"))
         assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 0
         lines = (tmp_path / "rep" / "report.md").read_text().splitlines()
         header = [cell.strip() for cell in lines[0].split("|")[1:-1]]
         assert header == ["shift", "metric", "B", "", "my  method"]
         assert len({line.count("|") for line in lines}) == 1
         assert lines[2] == "| rotation | Accuracy | 90.0+-0.0 | 90.0+-0.0 | 90.0+-0.0 |"
+
+    def test_pipe_in_a_method_name_stays_inside_its_cell(self, tmp_path):
+        run = write_report_run(tmp_path, ("B", "a|b"))
+        assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 0
+        lines = (tmp_path / "rep" / "report.md").read_text().splitlines()
+        unescaped = {line.count("|") - line.count("\\|") for line in lines}
+        assert unescaped == {5}
+        assert lines[0] == "| shift | metric | B | a\\|b |"
+
+    def test_line_break_in_a_method_name_exits_3(self, tmp_path, capsys):
+        run = write_report_run(tmp_path, ("B", "a\nb"))
+        assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 3
+        err = capsys.readouterr().err
+        assert f"artifact error: run directory {run}: bad metrics.csv: metrics line" in err
+        assert not (tmp_path / "rep").exists()
 
     def test_same_family_different_eval_data_is_rejected(
             self, trained_run, tmp_path, capsys):

@@ -7,6 +7,7 @@ from arlab.datasets import LabeledImages, gen_minidigits
 from arlab.errors import DegenerateInputError, MergeError
 from arlab.evaluation import (
     _CHUNK_BYTES,
+    METHOD_SPECS,
     MetricsRow,
     accuracy,
     evaluate,
@@ -66,11 +67,11 @@ def constant_model(k=10, d=16 * 16, winner=None):
 def identity_pair_family():
     # both members act as the identity map, so any model is perfectly
     # invariant under this family
-    return TransformFamily("idpair", (Identity(), PixelMap(1.0, False)), 0, 1)
+    return TransformFamily("idpair", (Identity(), PixelMap(1.0, False)), 1)
 
 
 def singleton_family():
-    return TransformFamily("only-id", (Identity(),), 0, 0)
+    return TransformFamily("only-id", (Identity(),), 0)
 
 
 def plain_accuracy(model, data):
@@ -123,7 +124,7 @@ def test_robust_accuracy_never_exceeds_accuracy():
 
 def test_robust_accuracy_matches_exhaustive_truth_table():
     data = gen_minidigits(5, seed=3)
-    fam = TransformFamily("pair", (Identity(), Rotate(30.0)), 0, 1)
+    fam = TransformFamily("pair", (Identity(), Rotate(30.0)), 1)
     m = init([256, 16, 10], seed=4)
     per_member = []
     for t in fam:
@@ -438,6 +439,22 @@ def test_format_table_fixed_method_order():
     header = text.splitlines()[0]
     assert header.index("B") < header.index("V") < header.index("S")
     assert "Accuracy" in text and "Robustness" in text and "Invariance" in text
+
+
+def test_table_columns_follow_the_method_list_then_sort_the_rest():
+    codes = ["zz", "VWA", "D", "RWA", "Aa", "B", "RVA", "S", "W", "K", "C", "L", "V"]
+    rows = [MetricsRow(m, "rotation", 0, None, 0.9, 0.8, 0.7) for m in codes]
+    header = format_table(rows).splitlines()[0].split()
+    assert header == ["shift", "metric", *METHOD_SPECS, "Aa", "zz"]
+    assert list(METHOD_SPECS) == ["B", "V", "L", "S", "C", "K", "W", "D",
+                                  "RVA", "RWA", "VWA"]
+
+
+@pytest.mark.parametrize("method,shift", [("a\nb", "rotation"), ("B", "rot\rated")])
+def test_csv_rejects_a_name_holding_a_line_break(method, shift):
+    text = rows_to_csv([MetricsRow(method, shift, 0, None, 0.9, 0.8, 0.7)])
+    with pytest.raises(MergeError, match="metrics line"):
+        rows_from_csv(text)
 
 
 def test_format_table_lambda_annotation():

@@ -25,7 +25,7 @@ from arlab.theory import (
     efficiency_masks,
     run_all_checks,
 )
-from arlab.training import select_worst
+from arlab.training import LrSchedule, TrainPlan, _vertex_copy, select_worst
 from arlab.transforms import (
     Identity,
     PixelMap,
@@ -79,8 +79,8 @@ def self_bounds(model, data, family, mode):
     return bound_terms(cube, data.labels, cube, data.labels, family, mode)
 
 
-IDENTITY_PAIR = TransformFamily("idpair", (Identity(), PixelMap(1.0, False)), 0, 1)
-NEGATE_PAIR = TransformFamily("negpair", (Identity(), PixelMap(1.0, True)), 0, 1)
+IDENTITY_PAIR = TransformFamily("idpair", (Identity(), PixelMap(1.0, False)), 1)
+NEGATE_PAIR = TransformFamily("negpair", (Identity(), PixelMap(1.0, True)), 1)
 
 
 class TestAssumptionReport:
@@ -119,7 +119,7 @@ class TestEfficiency:
         # scaling (1, 0) by one half lands exactly on the representation of
         # (0.5, 0): distance zero to a foreign sample, 2.5 to its own
         data = row_data([[1.0, 0.0], [0.5, 0.0]], [0, 0], 2)
-        family = TransformFamily("halve", (Identity(), PixelMap(0.5, False)), 0, 1)
+        family = TransformFamily("halve", (Identity(), PixelMap(0.5, False)), 1)
         rep = efficiency_of(passthrough_model(2), data, family)
         assert rep.fraction == pytest.approx(0.75)
         assert rep.witnesses == [{"transform": "pix:0.5:0", "sample": 0}]
@@ -178,7 +178,7 @@ class TestEfficiency:
 class TestMatchingIdentity:
     def test_agreement_under_full_efficiency(self):
         data = row_data(np.eye(4), [0, 1, 2, 3], 4)
-        family = TransformFamily("shrink", (Identity(), PixelMap(0.9, False)), 0, 1)
+        family = TransformFamily("shrink", (Identity(), PixelMap(0.9, False)), 1)
         entries = prop_a2_of(passthrough_model(4), data, family)
         by_name = {e.transform: e for e in entries}
         shrunk = by_name["pix:0.9:0"]
@@ -242,14 +242,13 @@ class TestVertices:
                 best, best_pair = val, [i, j]
         assert rep.detail["argmax_pair"] == best_pair
         assert rep.detail["max_w1"] == pytest.approx(best)
-        expected_attained = (best_pair == sorted(
-            (family.vertex_plus, family.vertex_minus)))
+        expected_attained = best_pair == [0, family.vertex]
         assert (rep.fraction == 1.0) == expected_attained
 
     def test_singleton_family_rejected(self):
         data = gen_minidigits(4, seed=0)
         model = init([256, 8, 10], seed=0)
-        singleton = TransformFamily("only-id", (Identity(),), 0, 0)
+        singleton = TransformFamily("only-id", (Identity(),), 0)
         with pytest.raises(ValueError, match="two"):
             vertices_of(model, data, singleton)
 
@@ -272,7 +271,7 @@ class TestConfidenceLink:
         # positive rescaling preserves the argmax, so the flip indicator is
         # zero and the ratio bound degrades to >= 1, which always holds
         data = row_data([[0.9, 0.1], [0.2, 0.7]], [0, 1], 2)
-        family = TransformFamily("shrink", (Identity(), PixelMap(0.9, False)), 0, 1)
+        family = TransformFamily("shrink", (Identity(), PixelMap(0.9, False)), 1)
         rep = check_a6(cube_of(passthrough_model(2), data, family), data.labels)
         assert rep.detail["conf_drop_fraction"] == 1.0
 
@@ -362,15 +361,26 @@ class TestBoundTerms:
         family = family_rotation()
         rep = self_bounds(model, data, family, "vertex")
 
-        plus = family.members[family.vertex_plus]
-        minus = family.members[family.vertex_minus]
-        u = logits_array(model, apply_batch(plus, data.images))
-        v = logits_array(model, apply_batch(minus, data.images))
+        u = logits_array(model, apply_batch(family.members[0], data.images))
+        v = logits_array(model, apply_batch(family.members[family.vertex], data.images))
         assert rep.alignment_sum == pytest.approx(np.abs(u - v).sum())
         assert rep.robust_error == pytest.approx(
             1.0 - robust_accuracy(cube_of(model, data, family), data.labels))
         assert rep.empirical_risk == pytest.approx(
             1.0 - accuracy(logits_array(model, data.images), data.labels))
+
+    @pytest.mark.parametrize("family", [family_rotation(), family_contrast()],
+                             ids=lambda f: f.family_name)
+    def test_vertex_alignment_reads_the_pair_a_vertex_step_trains(self, family):
+        data = gen_minidigits(10, seed=7)
+        model = init([256, 12, 10], seed=3)
+        plan = TrainPlan("aligned-vertex", family=family, lam=0.1, align_kind="l1",
+                         epochs=1, lr=LrSchedule(0.01), batch_size=10, seed=0,
+                         hidden=(12,))
+        u = logits_array(model, data.images)
+        v = logits_array(model, _vertex_copy(plan, data.images))
+        rep = self_bounds(model, data, family, "vertex")
+        assert rep.alignment_mean == np.abs(u - v).sum(axis=1).mean()
 
     def test_vertex_risk_average_matches_loops(self):
         data = gen_minidigits(10, seed=4)
@@ -378,7 +388,7 @@ class TestBoundTerms:
         family = family_rotation()
         rep = self_bounds(model, data, family, "vertex")
         errs = []
-        for idx in (family.vertex_plus, family.vertex_minus):
+        for idx in (0, family.vertex):
             moved = apply_batch(family.members[idx], data.images)
             preds = logits_array(model, moved).argmax(axis=1)
             errs.append(float(np.mean(preds != data.labels)))

@@ -52,7 +52,7 @@ def small_data(n=64, seed=0):
 
 
 def singleton_family():
-    return TransformFamily("only-id", (Identity(),), 0, 0)
+    return TransformFamily("only-id", (Identity(),), 0)
 
 
 def per_sample_ce(model, image, label, k=10):

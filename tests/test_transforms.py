@@ -212,7 +212,7 @@ def test_family_texture_shape():
     fam = family_texture()
     assert len(fam) == 5
     assert isinstance(fam.members[0], Identity)
-    assert fam.vertex_plus == 0 and fam.vertex_minus == 4
+    assert fam.vertex == 4
     assert fam.members[4] == FreqCutoff(6.0)
     assert [t.radius for t in fam.members[1:]] == [12.0, 10.0, 8.0, 6.0]
 
@@ -246,7 +246,7 @@ def test_family_rotation_shape():
 def test_family_contrast_shape():
     fam = family_contrast()
     assert len(fam) == 6
-    assert fam.vertex_minus == 3
+    assert fam.vertex == 3
     assert fam.training_vertex() == PixelMap(1.0, True)
     assert fam.members[1] == PixelMap(0.5, False)
     assert fam.members[5] == PixelMap(0.25, True)
@@ -254,11 +254,32 @@ def test_family_contrast_shape():
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        TransformFamily("bad", (Rotate(10.0),), 0, 0)
+        TransformFamily("bad", (Rotate(10.0),), 0)
     with pytest.raises(ValueError):
-        TransformFamily("bad", (Identity(), Rotate(10.0)), 0, 0)
+        TransformFamily("bad", (Identity(), Rotate(10.0)), 0)
     with pytest.raises(ValueError):
         family_by_name("shear")
+
+
+@pytest.mark.parametrize("members,vertex", [
+    ((Identity(), Rotate(10.0), Rotate(20.0)), 0),
+    ((Identity(), Rotate(10.0), Rotate(20.0)), 3),
+    ((Identity(), Rotate(10.0), Rotate(20.0)), -1),
+    ((Rotate(10.0), Identity()), 1),
+], ids=["identity-vertex", "past-the-end", "negative", "identity-not-first"])
+def test_family_rejects_a_vertex_training_could_not_pair(members, vertex):
+    with pytest.raises(ValueError):
+        TransformFamily("bad", members, vertex)
+
+
+@pytest.mark.parametrize("members,vertex", [
+    ((Identity(),), 0),
+    ((Identity(), Rotate(10.0), Rotate(20.0)), 1),
+    ((Identity(), Rotate(10.0), Rotate(20.0)), 2),
+])
+def test_family_accepts_a_vertex_beside_the_identity(members, vertex):
+    fam = TransformFamily("ok", members, vertex)
+    assert fam.training_vertex() == members[vertex]
 
 
 def test_transform_parameter_validation():
