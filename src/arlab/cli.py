@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .datasets import LabeledImages, gen_minidigits, load_idx
 from .errors import (
     ConfigError,
@@ -409,11 +412,21 @@ def cmd_train(config_path: str, parallel: int = 1,
     summary = format_table(table_rows(rows, chosen), chosen)
     (out / "summary.txt").write_text(summary)
     (out / "run.json").write_text(json.dumps(
-        {"cells": records, "duration_s": time.monotonic() - started},
+        {"cells": records, "duration_s": time.monotonic() - started,
+         "environment": _environment()},
         indent=2, sort_keys=True))
     print(summary, end="")
     print(out)
     return out
+
+
+def _environment() -> dict:
+    """What a run's bits rest on: the interpreter, the libraries and numpy's BLAS."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "arlab": __version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "openblas_configuration": blas.get("openblas configuration")}}
 
 
 def _parse_data_arg(spec: str) -> LabeledImages:

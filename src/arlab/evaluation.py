@@ -16,7 +16,9 @@ Distance ties at the t-th place go to the lowest pool indices, as a stable
 sort orders them.  No sort is run: ``np.partition`` gives each query's t-th
 smallest distance d_t, every own copy closer than d_t counts, and an own
 copy at exactly d_t counts when its rank among the entries at d_t, taken in
-pool order, is below the slots the closer entries leave.
+pool order, is below the slots the closer entries leave.  That rank is the
+number of tied entries before the copy in its row, counted with two binary
+searches in the sorted flat positions of the tied entries.
 
 Ranks hang on exact ties, so every decision reads the exact distance
 ``np.abs(q - p).sum()``; scipy's faster L1 kernel (``pairwise_l1``) only
@@ -145,12 +147,15 @@ def _own_among_nearest(dists: np.ndarray, samples: np.ndarray, m: int,
         before[gap] = ~np.isnan(dists[gap])
         tied[gap] = np.isnan(dists[gap])
     slots = t - before.sum(axis=1, keepdims=True)
-    # rank of each tied entry among the row's tied entries, by pool index
-    rank = np.cumsum(tied, axis=1) - tied
     own = samples[:, None] + m * np.arange(t)
     own_before = np.take_along_axis(before, own, axis=1)
     own_tied = np.take_along_axis(tied, own, axis=1)
-    own_rank = np.take_along_axis(rank, own, axis=1)
+    # rank of each own entry among its row's tied entries, by pool index:
+    # the tied entries' flat positions are sorted, so it is the count of
+    # them between the row's start and the entry
+    tied_at = np.flatnonzero(tied)
+    start = np.arange(len(dists))[:, None] * dists.shape[1]
+    own_rank = np.searchsorted(tied_at, start + own) - np.searchsorted(tied_at, start)
     return own_before.sum(axis=1) + (own_tied & (own_rank < slots)).sum(axis=1)
 
 

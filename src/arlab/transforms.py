@@ -4,6 +4,11 @@ Three families are built in: low-pass texture filtering in the frequency
 domain, clockwise rotation, and pixel-intensity contrast maps.  Each family
 is an ordered list whose first member, the identity, and designated "vertex"
 member are the two extremes that training pairs.
+
+A bilinear rotation reads each row block with one gather of all four
+corners of every output pixel, from a cached table of flat source indices
+and weights; each pixel then adds its four weighted corners in a fixed
+order, starting from 0.0, so its bits do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -118,7 +123,12 @@ def _lowpass_mask(h: int, w: int, radius: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _rotation_gather(h: int, w: int, degrees: float):
-    """Bilinear source indices and weights for a clockwise rotation."""
+    """Flat source indices and weights of the four bilinear corners.
+
+    Both are (4*h*w,) arrays, corner-major: entry c*h*w + p holds corner c
+    of output pixel p.  A corner outside the frame reads a clipped index
+    with weight 0.
+    """
     theta = np.deg2rad(degrees)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
@@ -128,7 +138,7 @@ def _rotation_gather(h: int, w: int, degrees: float):
     x0 = np.floor(src_x).astype(np.intp)
     y0 = np.floor(src_y).astype(np.intp)
     fx, fy = src_x - x0, src_y - y0
-    corners = []
+    index, weights = [], []
     for oy, ox, wgt in (
             (0, 0, (1 - fy) * (1 - fx)),
             (0, 1, (1 - fy) * fx),
@@ -136,8 +146,9 @@ def _rotation_gather(h: int, w: int, degrees: float):
             (1, 1, fy * fx)):
         yy, xx = y0 + oy, x0 + ox
         inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        corners.append((np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1), wgt * inside))
-    return corners
+        index.append(np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1))
+        weights.append(wgt * inside)
+    return np.stack(index).ravel(), np.stack(weights).ravel()
 
 
 # rows per block of a rotation or low-pass filter: each block's
@@ -165,7 +176,8 @@ def apply_batch(t: Transform, images: np.ndarray) -> np.ndarray:
         return out
     if not isinstance(t, (Rotate, FreqCutoff)):
         raise TypeError(f"unknown transform {t!r}")
-    out = np.empty_like(x)
+    # C order whatever the input's strides, so each block flattens to a view
+    out = np.empty(x.shape)
     for start in range(0, x.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         _transform_block(t, x[rows], out[rows])
@@ -173,13 +185,23 @@ def apply_batch(t: Transform, images: np.ndarray) -> np.ndarray:
 
 
 def _transform_block(t: Rotate | FreqCutoff, x: np.ndarray, out: np.ndarray) -> None:
-    """Write a rotation or low-pass filter of the (b, h, w) block x into out."""
-    _, h, w = x.shape
+    """Write a rotation or low-pass filter of the (b, h, w) block x into out.
+
+    out must be C-contiguous: a rotation writes it through a flat view.
+    """
+    b, h, w = x.shape
     if isinstance(t, Rotate):
-        out[...] = 0.0
-        for yy, xx, wgt in _rotation_gather(h, w, float(t.degrees)):
-            out += x[:, yy, xx] * wgt
-        np.clip(out, 0.0, 1.0, out=out)
+        # one gather of all four corners; each pixel then sums the same four
+        # products in corner order, starting from 0.0
+        n = h * w
+        index, weights = _rotation_gather(h, w, float(t.degrees))
+        corners = np.take(x.reshape(b, n), index, axis=1)
+        corners *= weights
+        flat = out.reshape(b, n)
+        flat[...] = 0.0
+        for c in range(0, 4 * n, n):
+            flat += corners[:, c:c + n]
+        np.clip(flat, 0.0, 1.0, out=flat)
         return
     spectrum = _dft_matrix(h) @ x @ _dft_matrix(w)
     spectrum *= _lowpass_mask(h, w, float(t.radius))

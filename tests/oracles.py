@@ -24,10 +24,13 @@
 - :func:`intersect1d_invariance` and :func:`argsort_invariance` score
   invariance from the whole distance array and a stable sort.
   :func:`chunked_invariance` computes every distance exactly, in chunks
-  whose (rows, m*t, k) difference array fits 256 KiB, and ranks them as
-  the library does (``evaluation._own_among_nearest``).  The library
+  whose (rows, m*t, k) difference array fits 256 KiB, and ranks them with
+  :func:`cumsum_own_among_nearest`, which takes each tied entry's rank
+  from a running count over the whole (rows, m*t) array.  The library
   computes exactly only the entries that scipy's L1 kernel puts near each
-  query's t-th distance (``evaluation.invariance_per_class``).
+  query's t-th distance (``evaluation.invariance_per_class``), and counts
+  each own copy's rank from the tied entries' flat positions alone
+  (``evaluation._own_among_nearest``).
 - :func:`numpy_cross_entropy` is a graph-free mean cross-entropy.
 - :func:`brute_force_w1` is the exact empirical W1 distance, found by
   enumerating every pairing.
@@ -36,6 +39,10 @@
   and ``ifftshift``-ed back.  The library draws the disc where the DFT
   leaves DC and masks each row block's spectrum in place
   (``transforms._transform_block``).
+- :func:`corner_rotation` rotates a whole (n, h, w) stack with four
+  2-index gathers, one per bilinear corner, each weighted and added into
+  a zeroed output.  The library gathers all four corners of a row block
+  at once from flat indices (``transforms._transform_block``).
 - :func:`per_glyph_minidigits` renders minidigits one glyph at a time,
   drawing each glyph's random numbers just before it renders them.  The
   library draws them all first and renders in row blocks
@@ -50,7 +57,6 @@ from arlab import tensor as T
 from arlab import training
 from arlab.datasets import _DIGIT_SEGMENTS, _SEGMENTS, LabeledImages, one_hot
 from arlab.errors import DivergenceError, ShapeError
-from arlab.evaluation import _own_among_nearest
 from arlab.model import family_logits, init, logits, logits_array
 from arlab.regularizers import aux_update, init_aux, penalty
 from arlab.tensor import NonFiniteError, _log_softmax
@@ -394,9 +400,28 @@ def chunked_invariance(cube, labels, num_classes):
             chunk = slice(start, start + rows)
             diff = query[chunk, None, :] - pool[None, :, :]
             dists = np.abs(diff, out=diff).sum(axis=2)
-            overlap[chunk] = _own_among_nearest(dists, np.arange(m)[chunk], m, t)
+            overlap[chunk] = cumsum_own_among_nearest(dists, np.arange(m)[chunk], m, t)
         scores[cls] = np.mean(overlap) / t
     return scores
+
+
+def cumsum_own_among_nearest(dists, samples, m, t):
+    """How many of each row's t nearest pool entries are the sample's copies,
+    each tied entry ranked by a running count of the row's tied entries."""
+    d_t = np.partition(dists, t - 1, axis=1)[:, t - 1:t]
+    before = dists < d_t
+    tied = dists == d_t
+    gap = np.isnan(d_t[:, 0])
+    if gap.any():
+        before[gap] = ~np.isnan(dists[gap])
+        tied[gap] = np.isnan(dists[gap])
+    slots = t - before.sum(axis=1, keepdims=True)
+    rank = np.cumsum(tied, axis=1) - tied
+    own = samples[:, None] + m * np.arange(t)
+    own_before = np.take_along_axis(before, own, axis=1)
+    own_tied = np.take_along_axis(tied, own, axis=1)
+    own_rank = np.take_along_axis(rank, own, axis=1)
+    return own_before.sum(axis=1) + (own_tied & (own_rank < slots)).sum(axis=1)
 
 
 def numpy_cross_entropy(z, y):
@@ -429,6 +454,31 @@ def centred_lowpass(images, radius):
     masked = np.fft.ifftshift(centred, axes=(1, 2))
     back = _dft_matrix(h).conj() @ masked @ _dft_matrix(w).conj() / (h * w)
     return np.clip(back.real, 0.0, 1.0)
+
+
+def corner_rotation(images, degrees):
+    """Clockwise bilinear rotation of a (n, h, w) stack, one corner at a time."""
+    x = np.asarray(images, dtype=np.float64)
+    _, h, w = x.shape
+    theta = np.deg2rad(degrees)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    dx, dy = xs - cx, ys - cy
+    src_x = dx * np.cos(theta) + dy * np.sin(theta) + cx
+    src_y = -dx * np.sin(theta) + dy * np.cos(theta) + cy
+    x0 = np.floor(src_x).astype(np.intp)
+    y0 = np.floor(src_y).astype(np.intp)
+    fx, fy = src_x - x0, src_y - y0
+    out = np.zeros(x.shape)
+    for oy, ox, wgt in (
+            (0, 0, (1 - fy) * (1 - fx)),
+            (0, 1, (1 - fy) * fx),
+            (1, 0, fy * (1 - fx)),
+            (1, 1, fy * fx)):
+        yy, xx = y0 + oy, x0 + ox
+        inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        out += x[:, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)] * (wgt * inside)
+    return np.clip(out, 0.0, 1.0)
 
 
 def _render_glyph(digit, size, rng):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import platform
 import shutil
 import struct
 import warnings
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import arlab
 from arlab import cli
 from arlab.cli import main, parse_config, resolve_output_dir, select_lambdas
 from arlab.datasets import LabeledImages, gen_minidigits, save_idx
@@ -148,6 +151,17 @@ class TestTrain:
         assert (out / "summary.txt").is_file()
         assert (out / "run.json").is_file()
         assert str(out) in capsys.readouterr().out
+
+    def test_root_run_json_records_what_the_bits_rest_on(self, tmp_path):
+        config_path, out = write_config(tmp_path)
+        assert main(["train", "--config", str(config_path)]) == 0
+        env = json.loads((out / "run.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["arlab"] == arlab.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"],
+                               "openblas_configuration": blas.get("openblas configuration")}
 
     def test_row_count_formula(self, tmp_path):
         # 2 no-lambda methods x 2 seeds + 1 AR method x 2 grid x 2 seeds

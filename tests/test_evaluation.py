@@ -9,6 +9,7 @@ from arlab.evaluation import (
     _CHUNK_BYTES,
     METHOD_SPECS,
     MetricsRow,
+    _own_among_nearest,
     accuracy,
     evaluate,
     format_table,
@@ -34,6 +35,7 @@ from arlab.wasserstein import pairwise_l1
 from oracles import (
     argsort_invariance,
     chunked_invariance,
+    cumsum_own_among_nearest,
     intersect1d_invariance,
     parameters,
 )
@@ -255,6 +257,64 @@ def test_invariance_matches_the_oracle_in_small_exact_slices(kind, monkeypatch):
             cube, labels = differential_cube(kind, t, k, 2, t)
             expect = chunked_invariance(cube, labels, 2)
             assert np.array_equal(invariance_per_class(cube, labels, 2), expect)
+
+
+def own_tie_outcomes(dists, samples, m, t):
+    """How many own copies tied at a finite t-th distance got a slot, and
+    how many lost it to lower pool indices."""
+    d_t = np.partition(dists, t - 1, axis=1)[:, t - 1:t]
+    order = np.argsort(dists, axis=1, kind="stable")[:, :t]
+    own = samples[:, None] + m * np.arange(t)
+    tied = np.take_along_axis(dists, own, axis=1) == d_t
+    picked = (own[:, :, None] == order[:, None, :]).any(axis=2)
+    return int((tied & picked).sum()), int((tied & ~picked).sum())
+
+
+@pytest.mark.parametrize("values", [2, 3, 5])
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_tie_ranks_match_the_cumsum_ranker(values, t):
+    # small integer distances tie many entries at each row's t-th place, own
+    # copies among them; NaN entries and all-NaN rows rank as a sort would
+    rng = np.random.default_rng(values * 10 + t)
+    m = 40
+    dists = rng.integers(0, values, size=(m, m * t)).astype(np.float64)
+    won, lost = own_tie_outcomes(dists, np.arange(m), m, t)
+    assert won and lost
+    dists[rng.random(dists.shape) < 0.1] = np.nan
+    dists[::9] = np.nan
+    for start, stop in ((0, m), (3, 4), (5, 23)):
+        rows = np.arange(start, stop)
+        expect = cumsum_own_among_nearest(dists[start:stop], rows, m, t)
+        assert np.array_equal(_own_among_nearest(dists[start:stop], rows, m, t), expect)
+
+
+def tie_cube(kind, seed):
+    rng = np.random.default_rng(seed)
+    cube = rng.integers(0, 3, size=(4, 90, 2)).astype(np.float64)
+    if kind == "constant":
+        cube = np.full_like(cube, 0.5)
+    elif kind == "nan":
+        cube[rng.random(cube.shape) < 0.15] = np.nan
+        cube[:, ::11] = np.nan
+    return cube, np.arange(90) % 3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["integer", "constant", "nan"])
+def test_invariance_under_ties_matches_the_cumsum_and_argsort_oracles(kind):
+    for seed in range(3):
+        cube, labels = tie_cube(kind, seed)
+        if kind == "integer":
+            # precondition: own copies tie at the t-th distance, and the
+            # lowest-index rule lets some in and keeps some out
+            members = np.flatnonzero(labels == 0)
+            pool = cube[:, members].reshape(-1, 2)
+            dists = np.abs(cube[0, members, None] - pool[None]).sum(axis=2)
+            won, lost = own_tie_outcomes(dists, np.arange(members.size), members.size, 4)
+            assert won and lost
+        got = invariance_per_class(cube, labels, 3)
+        assert np.array_equal(got, chunked_invariance(cube, labels, 3))
+        assert np.array_equal(got, argsort_invariance(cube, labels, 3))
 
 
 def near_tie_cube():

@@ -21,7 +21,7 @@ from arlab.transforms import (
     family_texture,
 )
 
-from oracles import centred_lowpass
+from oracles import centred_lowpass, corner_rotation
 
 
 @pytest.fixture
@@ -149,6 +149,55 @@ def test_apply_batch_peaks_at_output_plus_one_block(t):
     # a whole-batch filter would hold several (2000, 16, 16) temporaries,
     # complex ones among them; a negated contrast map needs none
     assert peak <= out.nbytes + 12 * block_bytes
+
+
+ROTATION_ANGLES = [0.0, 15.0, 30.0, 45.0, 60.0, 90.0, 137.5, 270.0, 359.5]
+ROTATION_SHAPES = [(1, 1), (7, 7), (16, 16), (28, 28), (8, 32), (32, 8)]
+
+
+def awkward_stack(n, h, w, seed):
+    """Values outside [0, 1] plus NaN, +-inf and -0.0, spread over the stack."""
+    x = np.random.default_rng(seed).normal(0.5, 1.0, size=(n, h, w))
+    x.flat[::5] = -0.0
+    x.flat[1::9] = np.nan
+    x.flat[2::11] = np.inf
+    x.flat[3::13] = -np.inf
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("h,w", ROTATION_SHAPES)
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 130])
+def test_rotation_matches_the_corner_oracle_bytes(n, h, w):
+    # NaN, +-inf and -0.0 pass through the same four products and adds,
+    # so even their bytes agree; batch sizes cross block edges
+    images = awkward_stack(n, h, w, seed=n * 1000 + h * 40 + w)
+    for degrees in ROTATION_ANGLES:
+        got = apply_batch(Rotate(degrees), images)
+        assert got.tobytes() == corner_rotation(images, degrees).tobytes(), degrees
+
+
+def strided_views(images):
+    """Views of one stack whose strides differ from a C-ordered copy's."""
+    return {
+        "transposed": images.transpose(0, 2, 1),
+        "pixel-major": np.ascontiguousarray(images.transpose(1, 2, 0)).transpose(2, 0, 1),
+        "negative-stride": images[::-1, :, ::-1],
+        "row-slice": images[1::3],
+    }
+
+
+@pytest.mark.parametrize("t", [Identity(), FreqCutoff(5.0), Rotate(30.0),
+                               PixelMap(0.5, False), PixelMap(0.25, True)],
+                         ids=["identity", "freq", "rotate", "pixel", "negated-pixel"])
+def test_apply_batch_of_a_strided_view_matches_its_contiguous_copy(t):
+    # a block of an output laid out like a strided input cannot flatten to
+    # a view, so writes through a flattened block would be lost
+    images = np.random.default_rng(7).random((2 * _BLOCK_ROWS + 5, 16, 16))
+    for name, view in strided_views(images).items():
+        assert not view.flags.c_contiguous, name
+        expect = apply_batch(t, np.ascontiguousarray(view))
+        assert apply_batch(t, view).tobytes() == expect.tobytes(), name
 
 
 # square and non-square sizes; on odd sides fftshift and ifftshift differ
